@@ -44,55 +44,69 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _first(flags: np.ndarray) -> tuple[int, ...]:
+    """Index of the first set flag; () when ``flags`` is 0-d (one matrix)."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(flags)), flags.shape))
+
+
+def _named(first: tuple[int, ...], message: str) -> str:
+    return f"{message} (stack index {list(first)})" if first else message
+
+
+def _validated(m, error, defect_of, label: str, tol: float | None) -> np.ndarray:
+    """Shape, finiteness and ``||defect_of(m)||_max <= tol`` check shared by
+    unitary4 and hermitian4, matrix by matrix over a stack."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-2:] != (4, 4):
+        raise error(f"expected a 4x4 matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        first = _first(~np.isfinite(a).all(axis=(-2, -1)))
+        raise error(_named(first, "matrix contains NaN or Inf entries"))
+    if tol is None:
+        tol = tolerances.construction
+    defect = np.abs(defect_of(a))
+    if defect.max(initial=0.0) > tol:
+        per_matrix = defect.max(axis=(-2, -1))
+        first = _first(per_matrix > tol)
+        raise error(_named(first, f"{label} = {per_matrix[first]:.3e} exceeds tolerance {tol:.3e}"))
+    return a
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-2, -1)
+
+
 def unitary4(m, tol: float | None = None) -> np.ndarray:
-    """Validate and return a 4x4 unitary as a complex ndarray.
+    """Validate and return a 4x4 unitary, or a stack (..., 4, 4) of them.
 
     Raises:
         NonUnitary: if ||U†U - I||_max exceeds ``tol`` (default: the global
-            construction tolerance).
+            construction tolerance); for a stack, the first failing matrix
+            is named by its index.
     """
-    u = np.asarray(m, dtype=complex)
-    if u.shape != (4, 4):
-        raise NonUnitary(f"expected a 4x4 matrix, got shape {u.shape}")
-    if not np.all(np.isfinite(u.view(float))):
-        raise NonUnitary("matrix contains NaN or Inf entries")
-    if tol is None:
-        tol = tolerances.construction
-    defect = max_norm(u.conj().T @ u - np.eye(4))
-    if defect > tol:
-        raise NonUnitary(
-            f"||U†U - I||_max = {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return u
+    return _validated(
+        m, NonUnitary, lambda u: _adjoint(u) @ u - np.eye(4), "||U†U - I||_max", tol
+    )
 
 
 def hermitian4(m, tol: float | None = None) -> np.ndarray:
-    """Validate and return a 4x4 Hermitian matrix as a complex ndarray."""
-    h = np.asarray(m, dtype=complex)
-    if h.shape != (4, 4):
-        raise NonHermitian(f"expected a 4x4 matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h.view(float))):
-        raise NonHermitian("matrix contains NaN or Inf entries")
-    if tol is None:
-        tol = tolerances.construction
-    defect = max_norm(h - h.conj().T)
-    if defect > tol:
-        raise NonHermitian(
-            f"||H - H†||_max = {defect:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return h
+    """Validate and return a 4x4 Hermitian matrix, or a stack (..., 4, 4)."""
+    return _validated(m, NonHermitian, lambda h: h - _adjoint(h), "||H - H†||_max", tol)
 
 
-def expm_hermitian(h, t: float) -> np.ndarray:
+def expm_hermitian(h, t: float | np.ndarray) -> np.ndarray:
     """exp(-i t H) for Hermitian H, via the spectral theorem.
 
-    The result is unitary to machine precision because the eigenvalue phases
-    are exponentiated exactly and the eigenvector matrix is orthonormal.
+    ``h`` may be a stack (..., 4, 4) with ``t`` a scalar or an array that
+    broadcasts against the stack's leading shape; all matrices go through
+    one stacked ``eigh``.  The result is unitary to machine precision
+    because the eigenvalue phases are exponentiated exactly and the
+    eigenvector matrix is orthonormal.
     """
     h = hermitian4(h)
     w, v = np.linalg.eigh(h)
-    phases = np.exp(-1j * t * w)
-    return (v * phases) @ v.conj().T
+    phases = np.exp(-1j * np.asarray(t, dtype=float)[..., None] * w)
+    return (v * phases[..., None, :]) @ _adjoint(v)
 
 
 def expm2_hermitian(h, t: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from spinpair.cli import main
 from spinpair.gates import SQRT_SWAP
+from spinpair.schedule import cnot_schedule
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +270,41 @@ class TestScheduleAndVerify:
         data = json.loads(out)
         assert data["fidelity"] == pytest.approx(1.0, abs=1e-12)
         assert data["wall_time_s"] == 0.0
+
+
+def schedule_file(path, coupling=1.0, v0=None, segments=None):
+    """A CNOT schedule file with ``coupling``, its segments replaced by
+    ``segments`` and segment 0's amplitudes by ``v0`` when given.  NaN and
+    Infinity are written as JSON tokens, which the loader accepts."""
+    data = cnot_schedule(1.0, 1000.0).to_dict()
+    if segments is not None:
+        data["segments"] = segments
+    if v0 is not None:
+        data["segments"][0]["v"] = v0
+    data["coupling_j_hz"] = coupling
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+class TestNonFiniteSchedule:
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_amplitude_exits_2(self, capsys, tmp_path, command, bad):
+        path = schedule_file(tmp_path / "bad.sched", v0=[0.0, bad, 0.0, 0.0])
+        code, out, err = run_cli(capsys, command, "--schedule", path)
+        assert code == 2
+        assert "NaN or Inf" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("drift_only", [False, True], ids=["pulsed", "drift-only"])
+    def test_nan_coupling_exits_2(self, capsys, tmp_path, command, drift_only):
+        segments = [{"duration_s": 0.5, "v": [0.0] * 4}] if drift_only else None
+        path = schedule_file(tmp_path / "nan_j.sched", float("nan"), segments=segments)
+        code, _, err = run_cli(capsys, command, "--schedule", path)
+        assert code == 2
+        assert "NaN or Inf" in err
 
 
 class TestSimulateCommand:

@@ -138,6 +138,46 @@ class TestValidation:
             assert max_norm(w.conj().T @ w - np.eye(4)) < 1e-9
 
 
+class TestStacks:
+    @pytest.mark.parametrize("scalar_t", [False, True], ids=["array-t", "scalar-t"])
+    def test_expm_stack_matches_single(self, rng, scalar_t):
+        hs = np.array([random_hermitian(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        ts = 0.4 if scalar_t else rng.uniform(-2, 2, size=(2, 3))
+        got = expm_hermitian(hs, ts)
+        assert got.shape == (2, 3, 4, 4)
+        for i in np.ndindex(2, 3):
+            t = ts if scalar_t else ts[i]
+            assert max_norm(got[i] - expm_hermitian(hs[i], t)) < 1e-14
+
+    def test_validators_accept_stacks(self, rng):
+        us = np.array([haar_unitary(rng) for _ in range(5)])
+        hs = np.array([random_hermitian(rng) for _ in range(5)])
+        assert unitary4(us).shape == (5, 4, 4)
+        assert hermitian4(hs).shape == (5, 4, 4)
+
+    def test_first_offending_matrix_named(self, rng):
+        us = np.array([haar_unitary(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        us[1, 2] *= 1.01
+        us[1, 0] *= 1.01
+        with pytest.raises(NonUnitary, match=r"stack index \[1, 0\]"):
+            unitary4(us)
+        hs = np.array([random_hermitian(rng) for _ in range(4)])
+        hs[3, 0, 0] = np.inf
+        with pytest.raises(NonHermitian, match=r"NaN or Inf entries \(stack index \[3\]\)"):
+            hermitian4(hs)
+
+    def test_single_matrix_messages_unchanged(self, rng):
+        message = r"^\|\|U†U - I\|\|_max = .* exceeds tolerance 1\.000e-10$"
+        with pytest.raises(NonUnitary, match=message):
+            unitary4(np.eye(4) * 1.001)
+        with pytest.raises(NonHermitian, match=r"^expected a 4x4 matrix, got shape \(3, 3\)$"):
+            hermitian4(np.eye(3))
+        m = np.eye(4, dtype=complex)
+        m[2, 1] = np.nan
+        with pytest.raises(NonUnitary, match=r"^matrix contains NaN or Inf entries$"):
+            unitary4(m)
+
+
 class TestRotation:
     def test_x_pi_is_flip(self):
         assert max_norm(rotation("x", np.pi) + 1j * SIGMA_X) < 1e-15
