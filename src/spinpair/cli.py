@@ -2,8 +2,9 @@
 
 Commands: invariants, mintime, coords, kak, schedule, simulate, verify.
 Exit codes: 0 success, 2 input/parse failure, 3 pipeline failure
-(non-real G2, positive discriminant, bad roots), 4 hard-pulse violation,
-5 fidelity below threshold.
+(non-real G2, positive discriminant, or coordinates from the eigenphases
+of m(U) that fail the paper's cubic), 4 hard-pulse violation, 5 fidelity
+below threshold.
 """
 
 from __future__ import annotations
@@ -110,9 +111,7 @@ def _angle_unit(args) -> str:
     return "deg" if args.degrees else "rad"
 
 
-def _invariants_block(u) -> dict:
-    inv = local_invariants(u)
-    abc = abc_from_invariants(inv)
+def _invariants_block(inv, abc) -> dict:
     return {
         "g1": {"re": inv.g1.real, "im": inv.g1.imag},
         "g2": {"re": inv.g2.real, "im": inv.g2.imag},
@@ -122,8 +121,9 @@ def _invariants_block(u) -> dict:
 
 def cmd_invariants(args) -> int:
     gate = _gate_from_args(args)
+    inv = local_invariants(gate.unitary())
     report = {"gate": gate.label()}
-    report.update(_invariants_block(gate.unitary()))
+    report.update(_invariants_block(inv, abc_from_invariants(inv)))
     _print_report(report, args.output == "json")
     return EXIT_OK
 
@@ -133,7 +133,7 @@ def cmd_mintime(args) -> int:
     result = min_time(gate.unitary(), args.coupling)
     unit = _angle_unit(args)
     report = {"gate": gate.label()}
-    report.update(_invariants_block(gate.unitary()))
+    report.update(_invariants_block(result.invariants, result.abc))
     report[f"coords_{unit}"] = {
         "c1": _maybe_degrees(result.coords.c1, args),
         "c2": _maybe_degrees(result.coords.c2, args),

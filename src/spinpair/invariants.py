@@ -14,6 +14,7 @@ pre-normalization (with its quartic-root branch ambiguity) is performed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ class ABCTriple:
             abs(self.a) > 1 + self._SLACK
             or abs(self.b) > 0.25 + self._SLACK
             or abs(self.c) > 3 + self._SLACK
-            or np.hypot(self.a, self.b) > 1 + self._SLACK
+            or math.hypot(self.a, self.b) > 1 + self._SLACK
         ):
             raise ValueError(f"invariant triple out of range: {self}")
 
@@ -81,22 +82,52 @@ def magic_transform(u) -> np.ndarray:
     return MAGIC_DAG @ u @ MAGIC
 
 
-def local_invariants(u) -> LocalInvariants:
-    """Compute (G1, G2) for a two-qubit unitary."""
+def _magic_system(u):
+    """Validate ``u`` once; return m(U) = U_B^T U_B and det U_B."""
     ub = magic_transform(u)
-    m = ub.T @ ub
     # det(U_B) equals det(U); computing it from the rotated matrix avoids an
     # extra matrix product.
-    det = np.linalg.det(ub)
-    tr = np.trace(m)
+    return ub.T @ ub, np.linalg.det(ub)
+
+
+def _invariants_of(m, det) -> LocalInvariants:
+    """(G1, G2) from m(U) and det U."""
+    tr = m.trace()
     tr2 = tr * tr
     g1 = tr2 / (16 * det)
-    g2 = (tr2 - np.trace(m @ m)) / (4 * det)
+    g2 = (tr2 - (m @ m).trace()) / (4 * det)
     # adding 0.0 turns -0.0 components into +0.0
     return LocalInvariants(
         g1=complex(g1.real + 0.0, g1.imag + 0.0),
         g2=complex(g2.real + 0.0, g2.imag + 0.0),
     )
+
+
+def local_invariants(u) -> LocalInvariants:
+    """Compute (G1, G2) for a two-qubit unitary."""
+    return _invariants_of(*_magic_system(u))
+
+
+def _magic_phases(c1, c2, c3):
+    # Diagonal phases of exp(i/2 (c1 XX + c2 YY + c3 ZZ)) in magic-basis
+    # position order.
+    return np.array(
+        [
+            (c1 - c2 + c3) / 2,
+            (c1 + c2 - c3) / 2,
+            -(c1 + c2 + c3) / 2,
+            (-c1 + c2 + c3) / 2,
+        ]
+    )
+
+
+def _coords_from_phases(theta):
+    # Inverse of _magic_phases up to the global phase sum(theta) / 4.
+    t0, t1, t2, t3 = theta
+    c1 = float((t0 + t1 - t2 - t3) / 2)
+    c2 = float((-t0 + t1 - t2 + t3) / 2)
+    c3 = float((t0 - t1 - t2 + t3) / 2)
+    return [c1, c2, c3]
 
 
 def abc_from_invariants(inv: LocalInvariants) -> ABCTriple:

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotLocal, ReconstructionFailed
-from .invariants import MAGIC, MAGIC_DAG, magic_transform
+from .invariants import (
+    MAGIC,
+    MAGIC_DAG,
+    _coords_from_phases,
+    _magic_phases,
+    magic_transform,
+)
 from .linalg import kron, max_norm, unitary4
 from .mintime import CanonicalCoordinates
 
@@ -71,27 +77,6 @@ def interaction_unitary(c1: float, c2: float, c3: float) -> np.ndarray:
     """
     phases = _magic_phases(c1, c2, c3)
     return (MAGIC * np.exp(1j * phases)) @ MAGIC_DAG
-
-
-def _magic_phases(c1, c2, c3):
-    # Diagonal phases of the interaction in magic-basis position order.
-    return np.array(
-        [
-            (c1 - c2 + c3) / 2,
-            (c1 + c2 - c3) / 2,
-            -(c1 + c2 + c3) / 2,
-            (-c1 + c2 + c3) / 2,
-        ]
-    )
-
-
-def _coords_from_phases(theta):
-    # Inverse of _magic_phases up to the global phase w.
-    w = float(np.sum(theta) / 4)
-    c1 = float((theta[0] + theta[1] - theta[2] - theta[3]) / 2)
-    c2 = float((-theta[0] + theta[1] - theta[2] + theta[3]) / 2)
-    c3 = float((theta[0] - theta[1] - theta[2] + theta[3]) / 2)
-    return w, [c1, c2, c3]
 
 
 def factor_local(k, tol: float = LOCAL_RANK_TOL) -> LocalGate:
@@ -184,7 +169,7 @@ _SWAPPERS = (
 )
 
 
-def _canonicalize(c, atol: float = 1e-9):
+def _canonicalize(c, atol: float = 1e-14):
     """Move a raw coordinate vector into the canonical region.
 
     Returns (coords, phase, left pair, right pair) such that
@@ -192,7 +177,7 @@ def _canonicalize(c, atol: float = 1e-9):
         C(c) = phase * (l1 (x) l2) C(coords) (r1 (x) r2)
 
     with pi/2 >= coords[0] >= coords[1] >= |coords[2]|, and coords[2] >= 0
-    whenever coords[0] is at the pi/2 boundary.
+    whenever coords[0] is within ``atol`` (roundoff) of the pi/2 boundary.
     """
     v = list(c)
     phase = [1.0 + 0j]
@@ -243,6 +228,9 @@ def _canonicalize(c, atol: float = 1e-9):
         shift(2, +1)
 
     # Mirror classes coincide at the c1 = pi/2 boundary; prefer c3 >= 0 there.
+    # The move maps c1 = pi/2 - d to pi/2 + d, so it is taken only where d is
+    # roundoff: any wider band would push c1 out of the chamber and lengthen
+    # the drift c1 + c2 + |c3| by 2d.
     if v[0] > np.pi / 2 - atol and v[2] < 0:
         shift(0, -1)
         negate(0, 2)
@@ -279,7 +267,8 @@ def kak_decompose(u) -> KakDecomposition:
         )
     ell = ell.real.astype(float)
 
-    w, c_raw = _coords_from_phases(theta)
+    w = float(np.sum(theta) / 4)
+    c_raw = _coords_from_phases(theta)
     coords, move_phase, left, right = _canonicalize(c_raw)
 
     k1_full = (MAGIC @ ell @ MAGIC_DAG) @ kron(left[0], left[1])

@@ -29,6 +29,8 @@ XX = PAULI_PRODUCTS[("x", "x")]
 YY = PAULI_PRODUCTS[("y", "y")]
 ZZ = PAULI_PRODUCTS[("z", "z")]
 
+_EYE4 = np.eye(4)
+
 
 def max_norm(m) -> float:
     """Entrywise max-abs norm used by every tolerance check."""
@@ -85,7 +87,7 @@ def unitary4(m, tol: float | None = None) -> np.ndarray:
             is named by its index.
     """
     return _validated(
-        m, NonUnitary, lambda u: _adjoint(u) @ u - np.eye(4), "||U†U - I||_max", tol
+        m, NonUnitary, lambda u: _adjoint(u) @ u - _EYE4, "||U†U - I||_max", tol
     )
 
 

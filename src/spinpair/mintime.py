@@ -1,7 +1,19 @@
 """Minimal implementation time of a two-qubit gate under a fixed ZZ coupling.
 
-The squared sines sin^2(c_i) of the canonical coordinates are the roots of a
-monic cubic whose coefficients are symmetric functions of the invariant triple
+The minimal time is
+
+    t* = (c1 + c2 + c3) / (pi J)
+
+in the canonical coordinates pi/2 >= c1 >= c2 >= c3 >= 0.  They are read off
+the eigenphases of the symmetric unitary m(U) = U_B^T U_B: its eigenvalues
+are exp(2 i theta_k) for the magic-basis phases theta_k of the interaction,
+so one 4x4 eigenvalue call gives the coordinates to roundoff, also at the
+edges of the chamber.  Each coordinate enters t* as arcsin|sin c|, which
+folds the raw values into [0, pi/2].
+
+The paper's route is kept as the reproduction of its formulas and as the
+check of the result.  The squared sines sin^2(c_i) are the roots of a monic
+cubic whose coefficients are symmetric functions of the invariant triple
 (a, b, c):
 
     x^3 + p x^2 + q x + r = 0,
@@ -12,21 +24,27 @@ monic cubic whose coefficients are symmetric functions of the invariant triple
 Shifting X = x + p/3 gives the depressed form X^3 + P X + Q = 0 whose
 discriminant P^3/27 + Q^2/4 is never positive for unitary-derived input, so
 all roots are real: either the tangent (double-root) case or three distinct
-roots obtained trigonometrically.  Each root is validated against the
-polynomial itself, making the solver self-verifying regardless of which branch
-produced it.  The minimal time is then
-
-    t* = (c1 + c2 + c3) / (pi J),   c_i = arcsin(sqrt(x_i)).
+roots obtained trigonometrically (``solve_depressed``).  ``min_time``
+requires every sin^2(c_i) it reports to satisfy this cubic.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonPositiveCoupling, PositiveDiscriminant, ResidualTooLarge
-from .invariants import ABCTriple, LocalInvariants, abc_from_invariants, local_invariants
+from .invariants import (
+    ABCTriple,
+    LocalInvariants,
+    _coords_from_phases,
+    _invariants_of,
+    _magic_system,
+    abc_from_invariants,
+)
 
 DISCRIMINANT_TOL = 1e-9  # above this the input cannot come from a unitary
 # The tangent (double-root) case is detected relative to the discriminant's
@@ -37,6 +55,7 @@ DEGENERATE_REL_TOL = 1e-9
 ROOT_RESIDUAL_TOL = 1e-8
 ROOT_RANGE_SLACK = 1e-9  # roots may leave [0, 1] by at most this before clamping
 ROOT_SNAP = 1e-15  # roots this close to 0 or 1 are exactly 0 or 1
+COORD_SNAP = 1e-14  # spectral coordinates below this are exactly 0
 _MAX_POLISH_STEP = 1e-3  # refinement must stay local to its own root
 
 
@@ -282,9 +301,53 @@ def coords_from_abc(abc: ABCTriple) -> CanonicalCoordinates:
     return CanonicalCoordinates(*c)
 
 
+def _spectral_coords(m, det) -> CanonicalCoordinates:
+    """Minimal-time coordinates from the eigenphases of m(U)."""
+    theta = (np.angle(np.linalg.eigvals(m)) / 2).tolist()
+    # Each theta_k is fixed only mod pi by its eigenvalue exp(2 i theta_k);
+    # U_B = L diag(exp(i theta)) P^T with L, P in SO(4) also needs
+    # sum(theta) = arg det U_B mod 2 pi.
+    if math.cos(sum(theta) - cmath.phase(det)) < 0:
+        theta[0] += math.pi
+    # t* depends on each coordinate through arcsin|sin c| in [0, pi/2].
+    folded = (
+        abs((c + math.pi / 2) % math.pi - math.pi / 2) for c in _coords_from_phases(theta)
+    )
+    c = sorted((0.0 if x < COORD_SNAP else x for x in folded), reverse=True)
+    return CanonicalCoordinates(*c)
+
+
+def _check_against_cubic(coords: CanonicalCoordinates, abc: ABCTriple) -> None:
+    """Require each sin^2(c_i) to be a root of the paper's cubic.
+
+    Raises:
+        PositiveDiscriminant: if the triple cannot come from a unitary.
+        ResidualTooLarge: if a coordinate misses the cubic by more than 1e-8.
+    """
+    coeffs = cubic_coefficients(abc)
+    depress(coeffs)
+    for c in coords.as_tuple():
+        residual = abs(_monic_value(coeffs, math.sin(c) ** 2))
+        if residual > ROOT_RESIDUAL_TOL:
+            raise ResidualTooLarge(
+                f"sin^2 of coordinate {c!r} has cubic residual {residual:.3e} "
+                f"> {ROOT_RESIDUAL_TOL:.0e}"
+            )
+
+
+def _analyze(u) -> tuple[CanonicalCoordinates, LocalInvariants, ABCTriple]:
+    m, det = _magic_system(u)
+    inv = _invariants_of(m, det)
+    abc = abc_from_invariants(inv)
+    coords = _spectral_coords(m, det)
+    _check_against_cubic(coords, abc)
+    return coords, inv, abc
+
+
 def canonical_coords(u) -> CanonicalCoordinates:
-    """Canonical coordinates of a two-qubit unitary via invariants + cubic."""
-    return coords_from_abc(abc_from_invariants(local_invariants(u)))
+    """Canonical coordinates of a two-qubit unitary, from the eigenphases of
+    m(U) and checked against the cubic."""
+    return _analyze(u)[0]
 
 
 def min_time(u, coupling_j: float) -> MinTimeReport:
@@ -292,12 +355,12 @@ def min_time(u, coupling_j: float) -> MinTimeReport:
 
     Raises:
         NonPositiveCoupling: if coupling_j <= 0.
+        NonRealG2, PositiveDiscriminant, ResidualTooLarge: if the invariants
+            are not those of a unitary or the coordinates miss the cubic.
     """
     if coupling_j <= 0:
         raise NonPositiveCoupling(f"coupling J must be positive, got {coupling_j}")
-    inv = local_invariants(u)
-    abc = abc_from_invariants(inv)
-    coords = coords_from_abc(abc)
+    coords, inv, abc = _analyze(u)
     t_star = coords.total / (np.pi * coupling_j)
     return MinTimeReport(
         coords=coords,

@@ -66,18 +66,22 @@ def _propagate(schedules: list[Schedule]) -> np.ndarray:
     duration, amplitudes, coupling = table[:, 0], table[:, 1:5], table[:, 5]
 
     steps = np.zeros((len(table), 4, 4), dtype=complex)
-    # Free drift: J * DRIFT_TERM is diagonal, so its exponential is too.
-    free = (amplitudes == 0.0).all(axis=1)
-    w = coupling[free, None] * _DRIFT_DIAGONAL
-    steps.reshape(-1, 16)[free, ::5] = np.exp(-1j * duration[free, None] * w)
-    # Pulsed: H = H_d + v1 H1 + ... + v4 H4, summed left to right; one stacked eigh.
-    pulsed = ~free
-    if pulsed.any():
-        v = amplitudes[pulsed]
-        h = coupling[pulsed, None, None] * DRIFT_TERM
-        for k, term in enumerate(CONTROL_TERMS):
-            h = h + v[:, k, None, None] * term
-        steps[pulsed] = expm_hermitian(h, duration[pulsed])
+    # A non-finite J or amplitude leaves NaN entries (inf * 0), which
+    # hermitian4 and the final unitary4 reject; numpy's warning about them
+    # would only repeat that error.
+    with np.errstate(invalid="ignore"):
+        # Free drift: J * DRIFT_TERM is diagonal, so its exponential is too.
+        free = (amplitudes == 0.0).all(axis=1)
+        w = coupling[free, None] * _DRIFT_DIAGONAL
+        steps.reshape(-1, 16)[free, ::5] = np.exp(-1j * duration[free, None] * w)
+        # Pulsed: H = H_d + v1 H1 + ... + v4 H4, summed left to right; one stacked eigh.
+        pulsed = ~free
+        if pulsed.any():
+            v = amplitudes[pulsed]
+            h = coupling[pulsed, None, None] * DRIFT_TERM
+            for k, term in enumerate(CONTROL_TERMS):
+                h = h + v[:, k, None, None] * term
+            steps[pulsed] = expm_hermitian(h, duration[pulsed])
 
     # Time-ordered product, one segment position at a time across the batch.
     u = np.tile(np.eye(4, dtype=complex), (len(schedules), 1, 1))

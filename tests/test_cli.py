@@ -95,6 +95,91 @@ class TestMintimeCommand:
         assert "coords_deg.c1 = 90" in out
 
 
+# `mintime --coupling 2` text reports, pinned byte for byte.
+MINTIME_GOLDEN = {
+    ("--gate", "cnot"): """gate = cnot
+g1.re = 0
+g1.im = 0
+g2.re = 1
+g2.im = 0
+abc.a = 0
+abc.b = 0
+abc.c = 1
+coords_rad.c1 = 1.57079632679
+coords_rad.c2 = 0
+coords_rad.c3 = 0
+coupling_j_hz = 2
+t_star_seconds = 0.25
+""",
+    ("--gate", "swap"): """gate = swap
+g1.re = -1
+g1.im = 0
+g2.re = -3
+g2.im = 0
+abc.a = -1
+abc.b = 0
+abc.c = -3
+coords_rad.c1 = 1.57079632679
+coords_rad.c2 = 1.57079632679
+coords_rad.c3 = 1.57079632679
+coupling_j_hz = 2
+t_star_seconds = 0.75
+""",
+    ("--gate", "sqrtswap"): """gate = sqrtswap
+g1.re = 0
+g1.im = 0.25
+g2.re = 0
+g2.im = 0
+abc.a = 0
+abc.b = 0.25
+abc.c = 0
+coords_rad.c1 = 0.785398163397
+coords_rad.c2 = 0.785398163397
+coords_rad.c3 = 0.785398163397
+coupling_j_hz = 2
+t_star_seconds = 0.375
+""",
+    ("--gate", "cu", "--gamma3", "0.5"): """gate = cu(0, 0, 0.5)
+g1.re = 0.770151152934
+g1.im = 0
+g2.re = 2.54030230587
+g2.im = 0
+abc.a = 0.770151152934
+abc.b = 0
+abc.c = 2.54030230587
+coords_rad.c1 = 0.5
+coords_rad.c2 = 0
+coords_rad.c3 = 0
+coupling_j_hz = 2
+t_star_seconds = 0.0795774715459
+""",
+}
+
+
+class TestMintimeGolden:
+    @pytest.mark.parametrize("gate", list(MINTIME_GOLDEN), ids=lambda g: g[1])
+    def test_text_report(self, capsys, gate):
+        code, out, err = run_cli(capsys, "mintime", *gate, "--coupling", "2")
+        assert code == 0
+        assert err == ""
+        assert out == MINTIME_GOLDEN[gate]
+
+    def test_invariants_computed_once(self, capsys, monkeypatch):
+        from spinpair import invariants
+
+        calls = []
+        original = invariants.magic_transform
+
+        def counted(u):
+            calls.append(1)
+            return original(u)
+
+        monkeypatch.setattr(invariants, "magic_transform", counted)
+        code, _, _ = run_cli(capsys, "mintime", "--gate", "cu", "--gamma3", "0.5", "--coupling", "2")
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestKakCommand:
     def test_swap(self, capsys):
         code, out, _ = run_cli(capsys, "kak", "--gate", "swap", "--output", "json")
@@ -143,6 +228,19 @@ class TestPipelineExitCode:
         err = capsys.readouterr().err
         assert code == 3
         assert "synthetic pipeline failure" in err
+
+
+    def test_coordinates_off_the_cubic_map_to_3(self, capsys, monkeypatch):
+        from spinpair import mintime
+        from spinpair.mintime import CanonicalCoordinates
+
+        monkeypatch.setattr(
+            mintime, "_spectral_coords", lambda m, det: CanonicalCoordinates(np.pi / 2, 0.3, 0)
+        )
+        code, out, err = run_cli(capsys, "mintime", "--gate", "cnot", "--coupling", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "cubic residual" in err
 
 
 class TestScheduleAndVerify:
@@ -286,7 +384,6 @@ def schedule_file(path, coupling=1.0, v0=None, segments=None):
     return str(path)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
 class TestNonFiniteSchedule:
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -305,6 +402,29 @@ class TestNonFiniteSchedule:
         code, _, err = run_cli(capsys, command, "--schedule", path)
         assert code == 2
         assert "NaN or Inf" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize(
+        "coupling,v0,drift_only",
+        [
+            (1.0, [0.0, float("inf"), 0.0, 0.0], False),
+            (1.0, [0.0, -float("inf"), 0.0, 0.0], False),
+            (float("inf"), None, False),
+            (float("inf"), None, True),
+        ],
+        ids=["inf-amplitude", "minus-inf-amplitude", "inf-coupling", "inf-coupling-drift-only"],
+    )
+    def test_stderr_is_one_error_line(self, capsys, tmp_path, command, coupling, v0, drift_only):
+        # "error" turns any numpy RuntimeWarning into an exception, which
+        # main() does not catch.
+        segments = [{"duration_s": 0.5, "v": [0.0] * 4}] if drift_only else None
+        path = schedule_file(tmp_path / "inf.sched", coupling, v0=v0, segments=segments)
+        code, out, err = run_cli(capsys, command, "--schedule", path)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and "NaN or Inf" in err
 
 
 class TestSimulateCommand:

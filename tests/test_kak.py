@@ -13,7 +13,7 @@ from spinpair.kak import (
 from spinpair.linalg import SIGMA_X, SIGMA_Y, ZZ, expm_hermitian, kron, max_norm, rotation
 from spinpair.mintime import canonical_coords
 
-from conftest import haar_unitary, random_local, random_su2
+from conftest import haar_unitary, random_local, random_su2, weyl_gate
 
 
 class TestInteractionUnitary:
@@ -163,6 +163,31 @@ class TestKakDecompose:
             u = random_local(rng) @ interaction_unitary(*c) @ random_local(rng)
             got = canonical_coords(u)
             assert got.as_tuple() == pytest.approx(tuple(c), abs=1e-7)
+
+
+class TestMirrorRuleAtHalfPi:
+    """c3 >= 0 is preferred only where c1 equals pi/2 to roundoff; just
+    inside the edge the mirror move would push c1 past pi/2."""
+
+    @pytest.mark.parametrize("c2,c3", [(0.7, 0.3), (np.pi / 2 - 1e-9, 1e-3), (1e-5, 1e-7)])
+    def test_c1_stays_in_chamber(self, rng, c2, c3):
+        from spinpair.mintime import min_time
+        from spinpair.schedule import GateSpec, synthesize
+
+        for _ in range(20):
+            u = weyl_gate(rng, np.pi / 2 - 1e-9, c2, -c3)
+            d = kak_decompose(u)
+            assert d.coords.c1 <= np.pi / 2
+            assert d.coords.as_tuple() == pytest.approx((np.pi / 2 - 1e-9, c2, -c3), abs=1e-12)
+            assert max_norm(reconstruct(d) - u) < 1e-10
+            drift = synthesize(GateSpec.custom(u), 1.0, 1e4).declared_drift_time
+            assert drift == pytest.approx(min_time(u, 1.0).t_star, abs=1e-12, rel=0)
+
+    def test_exact_edge_prefers_nonnegative_c3(self, rng):
+        for _ in range(20):
+            d = kak_decompose(weyl_gate(rng, np.pi / 2, 0.6, -0.2))
+            assert d.coords.c1 == pytest.approx(np.pi / 2, abs=1e-14)
+            assert d.coords.c3 == pytest.approx(0.2, abs=1e-12)
 
 
 class TestTextbookCnotDecomposition:

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinpair.errors import NonPositiveCoupling, PositiveDiscriminant
+from spinpair.errors import (
+    NonPositiveCoupling,
+    PositiveDiscriminant,
+    ResidualTooLarge,
+    SpinPairError,
+)
 from spinpair.gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP, controlled_u
 from spinpair.invariants import ABCTriple, abc_from_coords
 from spinpair.kak import interaction_unitary
+from spinpair import mintime
 from spinpair.mintime import (
+    CanonicalCoordinates,
     CubicCoefficients,
     canonical_coords,
     coords_from_abc,
@@ -15,7 +24,7 @@ from spinpair.mintime import (
     solve_depressed,
 )
 
-from conftest import haar_unitary, random_local
+from conftest import EDGE_VALUES, haar_unitary, random_local, weyl_gate
 
 
 class TestCubicCoefficients:
@@ -188,3 +197,118 @@ class TestEdgeInputs:
             abc = abc_from_invariants(local_invariants(haar_unitary(rng)))
             dc = depress(cubic_coefficients(abc))
             assert dc.discriminant <= 1e-9
+
+
+class TestCubicCheck:
+    """The paper's cubic checks the spectral coordinates."""
+
+    def test_accepts_the_roots(self):
+        c = (1.2, 0.7, 0.3)
+        mintime._check_against_cubic(CanonicalCoordinates(*c), abc_from_coords(*c))
+
+    def test_rejects_a_coordinate_off_the_cubic(self):
+        abc = abc_from_coords(1.2, 0.7, 0.3)
+        with pytest.raises(ResidualTooLarge, match="cubic residual"):
+            mintime._check_against_cubic(CanonicalCoordinates(1.2, 0.7, 0.3 + 1e-6), abc)
+
+    def test_rejects_a_non_unitary_triple(self):
+        with pytest.raises(PositiveDiscriminant):
+            mintime._check_against_cubic(CanonicalCoordinates(0, 0, 0), ABCTriple(1, 0, -3))
+
+    def test_min_time_raises_when_the_routes_disagree(self, monkeypatch):
+        monkeypatch.setattr(
+            mintime, "_spectral_coords", lambda m, det: CanonicalCoordinates(np.pi / 2, 0.3, 0)
+        )
+        with pytest.raises(ResidualTooLarge):
+            min_time(CNOT, 1.0)
+
+
+def _boundary_sample(rng, count, edge_prob=0.5, mirror_prob=0.3):
+    """(gate, truth) pairs: each coordinate an edge value or uniform on
+    [0, pi/2], sorted into the chamber, c3 negated with ``mirror_prob``.
+    min_time reports |c3|, so the truth keeps c3 >= 0."""
+    for _ in range(count):
+        c = [
+            EDGE_VALUES[rng.integers(len(EDGE_VALUES))]
+            if rng.random() < edge_prob
+            else rng.uniform(0.0, np.pi / 2)
+            for _ in range(3)
+        ]
+        c1, c2, c3 = sorted(c, reverse=True)
+        sign = -1.0 if rng.random() < mirror_prob else 1.0
+        yield weyl_gate(rng, c1, c2, sign * c3), (c1, c2, c3)
+
+
+class TestChamberBoundary:
+    """Accuracy at the edges of the Weyl chamber, against the coordinates
+    each gate was built from."""
+
+    def test_harness(self):
+        rng = np.random.default_rng(31)
+        worst_report = worst_coords = 0.0
+        raised = []
+        for u, truth in _boundary_sample(rng, 3000):
+            try:
+                report = min_time(u, 1.0)
+                coords = canonical_coords(u)
+            except SpinPairError as exc:
+                raised.append((truth, exc))
+                continue
+            worst_report = max(worst_report, np.abs(np.subtract(report.coords.as_tuple(), truth)).max())
+            worst_coords = max(worst_coords, np.abs(np.subtract(coords.as_tuple(), truth)).max())
+            assert report.t_star == report.coords.total / np.pi
+        assert raised == []
+        assert worst_report <= 1e-8
+        assert worst_coords <= 1e-8
+
+    @pytest.mark.parametrize(
+        "truth",
+        [(1e-5, 1e-5, 1e-9), (1e-3, 1e-5, 1e-7), (np.pi / 2, np.pi / 2, 0.0)],
+        ids=["small-pair", "small-spread", "swap-edge"],
+    )
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["c3+", "c3-"])
+    def test_named_regression(self, rng, truth, sign):
+        # The cubic alone gave (0, 0, 0), a triple root at 5.7e-5 (t* off by
+        # a factor of about 6) and c1 = 1.57069 on these.
+        for _ in range(20):
+            u = weyl_gate(rng, truth[0], truth[1], sign * truth[2])
+            report = min_time(u, 1.0)
+            assert report.coords.as_tuple() == pytest.approx(truth, abs=1e-8, rel=0)
+            assert report.t_star == pytest.approx(sum(truth) / np.pi, abs=1e-8, rel=0)
+
+    def test_exactly_zero_and_half_pi(self):
+        report = min_time(weyl_gate(np.random.default_rng(3), np.pi / 2, 0.0, 0.0), 1.0)
+        assert report.coords.as_tuple() == pytest.approx((np.pi / 2, 0.0, 0.0), abs=1e-14)
+        assert report.coords.c2 == report.coords.c3 == 0.0
+
+
+_coordinate = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, np.pi / 2))
+
+
+class TestChamberBoundaryProperties:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        c=st.tuples(_coordinate, _coordinate, _coordinate),
+        mirror=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_coordinates_match_truth(self, c, mirror, seed):
+        c1, c2, c3 = sorted(c, reverse=True)
+        u = weyl_gate(np.random.default_rng(seed), c1, c2, -c3 if mirror else c3)
+        report = min_time(u, 1.0)
+        got = report.coords.as_tuple()
+        assert np.pi / 2 >= got[0] >= got[1] >= got[2] >= 0
+        assert got == pytest.approx((c1, c2, c3), abs=1e-8, rel=0)
+        assert canonical_coords(u).as_tuple() == got
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        c=st.tuples(_coordinate, _coordinate, _coordinate),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mirror_image_has_same_time(self, c, seed):
+        # U and its complex conjugate are mirror images: same |c3|, same t*.
+        u = weyl_gate(np.random.default_rng(seed), *sorted(c, reverse=True))
+        assert min_time(u.conj(), 1.0).t_star == pytest.approx(
+            min_time(u, 1.0).t_star, abs=1e-12
+        )

@@ -248,7 +248,7 @@ class TestBatchVerify:
 
 
 class TestInvalidInput:
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0
+    @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_amplitude_is_non_hermitian(self, tmp_path, bad):
         v0 = [0.0, bad, 0.0, 0.0]
