@@ -41,11 +41,6 @@ def controlled_u(gamma1: float, gamma2: float, gamma3: float) -> np.ndarray:
     return cu
 
 
-def controlled_u_angle(gamma1: float, gamma2: float, gamma3: float) -> float:
-    """The rotation magnitude gamma = ||(g1, g2, g3)||_2."""
-    return float(np.sqrt(gamma1**2 + gamma2**2 + gamma3**2))
-
-
 _BUILTIN = {
     "cnot": lambda: CNOT,
     "swap": lambda: SWAP,
@@ -70,6 +65,5 @@ __all__ = [
     "SWAP",
     "SQRT_SWAP",
     "controlled_u",
-    "controlled_u_angle",
     "named_gate",
 ]

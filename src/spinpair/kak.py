@@ -16,6 +16,12 @@ c3 carries a sign: gates whose invariant b = Im G1 is negative are not locally
 equivalent to their mirror image and have no all-nonnegative coordinate
 vector; for them c3 < 0 and |c3| still equals the third minimal-time
 coordinate.
+
+``kak_decompose`` validates its input once and trusts the arrays it derives
+from it.  The two local factors go through ``_factor_locals`` together: one
+unitarity check and one SVD over the stack of both, the rank test applied to
+each, and one ``LocalGate`` (SU(2) check) per factor.  The assembled
+decomposition must still reproduce the input to ``RECONSTRUCTION_TOL``.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .invariants import (
     MAGIC_DAG,
     _coords_from_phases,
     _magic_phases,
-    magic_transform,
 )
 from .linalg import kron, max_norm, unitary4
 from .mintime import CanonicalCoordinates
@@ -52,9 +57,13 @@ class LocalGate:
         for name, m in (("a", self.a), ("b", self.b)):
             if m.shape != (2, 2):
                 raise ValueError(f"factor {name} must be 2x2")
-            if max_norm(m.conj().T @ m - np.eye(2)) > LOCAL_GATE_TOL:
+            # Closed forms of ||m†m - I||_max and det m on the four entries.
+            (p, q), (r, t) = m.tolist()
+            off = p.conjugate() * q + r.conjugate() * t
+            gram = (abs(p) ** 2 + abs(r) ** 2 - 1, abs(q) ** 2 + abs(t) ** 2 - 1, off)
+            if max(abs(x) for x in gram) > LOCAL_GATE_TOL:
                 raise ValueError(f"factor {name} is not unitary within tolerance")
-            if abs(np.linalg.det(m) - 1) > LOCAL_GATE_TOL:
+            if abs(p * t - q * r - 1) > LOCAL_GATE_TOL:
                 raise ValueError(f"factor {name} is not det-1 within tolerance")
 
     def unitary(self) -> np.ndarray:
@@ -91,31 +100,44 @@ def factor_local(k, tol: float = LOCAL_RANK_TOL) -> LocalGate:
         NotLocal: if the second singular value of the reshuffle exceeds
             ``tol`` (the gate is entangling).
     """
+    a, b, phase = _factor_locals(k, tol)
+    return LocalGate(a=a, b=b, phase=float(phase))
+
+
+def _factor_locals(k, tol: float = LOCAL_RANK_TOL):
+    """``factor_local`` over a stack (..., 4, 4): one unitarity check and one
+    SVD for all matrices.  Returns the stacks a, b (..., 2, 2) and phase (...)."""
     k = unitary4(k, tol=1e-8)
-    m = k.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    lead = k.shape[:-2]
+    k = k.reshape(-1, 4, 4)
+    n = len(k)
+    m = k.reshape(n, 2, 2, 2, 2).swapaxes(2, 3).reshape(n, 4, 4)
     u, s, vh = np.linalg.svd(m)
-    if s[1] > tol:
-        raise NotLocal(
-            f"second singular value of the reshuffle is {s[1]:.3e} > {tol:.0e}"
-        )
-    a = (u[:, 0] * np.sqrt(s[0])).reshape(2, 2)
-    b = (vh[0] * np.sqrt(s[0])).reshape(2, 2)
-    a = a / np.sqrt(np.linalg.det(a))
-    b = b / np.sqrt(np.linalg.det(b))
+    for s1 in s[:, 1].tolist():
+        if s1 > tol:
+            raise NotLocal(
+                f"second singular value of the reshuffle is {s1:.3e} > {tol:.0e}"
+            )
+    scale = np.sqrt(s[:, :1])
+    a = (u[:, :, 0] * scale).reshape(n, 2, 2)
+    b = (vh[:, 0, :] * scale).reshape(n, 2, 2)
+    det = np.linalg.det(np.concatenate([a, b]))
+    a /= np.sqrt(det[:n])[:, None, None]
+    b /= np.sqrt(det[n:])[:, None, None]
 
     # Deterministic sign: first entry of A with non-tiny magnitude gets a
     # nonnegative real part (positive imaginary part breaks the tie).
-    for entry in a.ravel():
-        if abs(entry) > 1e-12:
-            if entry.real < -1e-12 or (abs(entry.real) <= 1e-12 and entry.imag < 0):
-                a = -a
-                b = -b
-            break
+    for i, row in enumerate(a.reshape(n, 4).tolist()):
+        entry = next((x for x in row if abs(x) > 1e-12), 0j)
+        if entry.real < -1e-12 or (abs(entry.real) <= 1e-12 and entry.imag < 0):
+            a[i] = -a[i]
+            b[i] = -b[i]
 
-    product = np.kron(a, b)
-    ref = np.unravel_index(np.argmax(np.abs(product)), product.shape)
-    phase = float(np.angle(k[ref] / product[ref]))
-    return LocalGate(a=a, b=b, phase=phase)
+    product = kron(a, b).reshape(n, 16)
+    rows = np.arange(n)
+    ref = np.abs(product).argmax(axis=1)
+    phase = np.angle(k.reshape(n, 16)[rows, ref] / product[rows, ref])
+    return a.reshape(lead + (2, 2)), b.reshape(lead + (2, 2)), phase.reshape(lead)
 
 
 def _real_orthogonal_eigenbasis(m):
@@ -128,9 +150,10 @@ def _real_orthogonal_eigenbasis(m):
     """
     mr = (m.real + m.real.T) / 2
     mi = (m.imag + m.imag.T) / 2
+    w, p0 = np.linalg.eigh(mr)
     best = None
     for cluster_tol in (1e-9, 1e-7, 1e-5):
-        w, p = np.linalg.eigh(mr)
+        p = p0.copy()
         start = 0
         for i in range(1, 5):
             if i == 4 or w[i] - w[i - 1] > cluster_tol:
@@ -140,8 +163,11 @@ def _real_orthogonal_eigenbasis(m):
                     _, rot = np.linalg.eigh((sub + sub.T) / 2)
                     p[:, start:i] = block @ rot
                 start = i
-        mu = np.array([p[:, j] @ m @ p[:, j] for j in range(4)])
-        residual = max_norm(m @ p - p * mu)
+        # Row j of q is p_j^T m; m is symmetric, so q = diag(mu) p^T exactly
+        # when p is an eigenbasis.
+        q = p.T @ m
+        mu = np.diagonal(q @ p)
+        residual = max_norm(q - mu[:, None] * p.T)
         if best is None or residual < best[0]:
             best = (residual, p, mu)
         if residual <= 1e-10:
@@ -161,6 +187,10 @@ _FLIPPERS = (
     1j * np.array([[0, 1], [1, 0]], dtype=complex),
     1j * np.array([[0, -1j], [1j, 0]], dtype=complex),
     1j * np.array([[1, 0], [0, -1]], dtype=complex),
+)
+# _FLIPPER_POWERS[k][n] = flipper[k]^n, for shifts by any multiple of pi.
+_FLIPPER_POWERS = tuple(
+    tuple(np.linalg.matrix_power(f, n) for n in range(4)) for f in _FLIPPERS
 )
 _SWAPPERS = (
     1j * np.sqrt(0.5) * np.array([[1, -1j], [1j, -1]], dtype=complex),
@@ -187,7 +217,7 @@ def _canonicalize(c, atol: float = 1e-14):
     def shift(k, step):
         v[k] += step * np.pi
         phase[0] *= 1j**step
-        f = np.linalg.matrix_power(_FLIPPERS[k], step % 4)
+        f = _FLIPPER_POWERS[k][step % 4]
         right[0] = f @ right[0]
         right[1] = f @ right[1]
 
@@ -247,19 +277,16 @@ def kak_decompose(u) -> KakDecomposition:
             by more than 1e-7 in max-norm (never observed for unitary input).
     """
     u = unitary4(u)
-    ub = magic_transform(u)
+    ub = MAGIC_DAG @ u @ MAGIC
     m = ub.T @ ub
     p, mu = _real_orthogonal_eigenbasis(m)
 
     theta = np.angle(mu) / 2
     if np.linalg.det(p) < 0:
-        p = p.copy()
         p[:, 0] = -p[:, 0]
     ell = ub @ p @ np.diag(np.exp(-1j * theta))
     if np.linalg.det(ell).real < 0:
-        theta = theta.copy()
         theta[0] += np.pi
-        ell = ell.copy()
         ell[:, 0] = -ell[:, 0]
     if max_norm(ell.imag) > 1e-6:
         raise DegenerateSpectrum(
@@ -273,14 +300,14 @@ def kak_decompose(u) -> KakDecomposition:
 
     k1_full = (MAGIC @ ell @ MAGIC_DAG) @ kron(left[0], left[1])
     k2_full = kron(right[0], right[1]) @ (MAGIC @ p.T @ MAGIC_DAG)
-    k1 = factor_local(k1_full)
-    k2 = factor_local(k2_full)
+    a, b, phase = _factor_locals(np.stack([k1_full, k2_full]))
+    phase1, phase2 = phase.tolist()
 
-    global_phase = float(w + np.angle(move_phase) + k1.phase + k2.phase)
+    global_phase = float(w + np.angle(move_phase) + phase1 + phase2)
     decomposition = KakDecomposition(
-        k1=LocalGate(a=k1.a, b=k1.b, phase=0.0),
+        k1=LocalGate(a=a[0], b=b[0]),
         coords=CanonicalCoordinates(*coords),
-        k2=LocalGate(a=k2.a, b=k2.b, phase=0.0),
+        k2=LocalGate(a=a[1], b=b[1]),
         global_phase=global_phase,
     )
     residual = max_norm(reconstruct(decomposition) - u)

@@ -38,12 +38,18 @@ def max_norm(m) -> float:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices, (a (x) b)[2i+k, 2j+l] = a[i,j] b[k,l]."""
+    """Kronecker product of two 2x2 matrices, (a (x) b)[2i+k, 2j+l] = a[i,j] b[k,l].
+
+    ``a`` and ``b`` may be stacks (..., 2, 2) whose leading shapes broadcast.
+    Every entry is the single product a[i,j] b[k,l], as in ``np.kron``, so
+    the result is bit-identical to it.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
+    if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
         raise ValueError("kron expects two 2x2 matrices")
-    return np.kron(a, b)
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (4, 4))
 
 
 def _first(flags: np.ndarray) -> tuple[int, ...]:
@@ -118,14 +124,6 @@ def expm2_hermitian(h, t: float) -> np.ndarray:
         raise NonHermitian("2x2 matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
-
-
-def det4(m) -> complex:
-    """Determinant of a 4x4 matrix (LU with partial pivoting)."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError("det4 expects a 4x4 matrix")
-    return complex(np.linalg.det(m))
 
 
 def rotation(axis: str, angle: float) -> np.ndarray:

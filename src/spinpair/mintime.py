@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Tolerances, tolerances
 from .errors import NonPositiveCoupling, PositiveDiscriminant, ResidualTooLarge
 from .invariants import (
     ABCTriple,
@@ -52,7 +53,7 @@ DISCRIMINANT_TOL = 1e-9  # above this the input cannot come from a unitary
 # cubics whose roots are merely clustered (small P and Q shrink the
 # discriminant without any true double root).
 DEGENERATE_REL_TOL = 1e-9
-ROOT_RESIDUAL_TOL = 1e-8
+ROOT_RESIDUAL_TOL = 1e-8  # at tolerance scale 1; see _root_residual_tol
 ROOT_RANGE_SLACK = 1e-9  # roots may leave [0, 1] by at most this before clamping
 ROOT_SNAP = 1e-15  # roots this close to 0 or 1 are exactly 0 or 1
 COORD_SNAP = 1e-14  # spectral coordinates below this are exactly 0
@@ -182,6 +183,14 @@ def depress(coeffs: CubicCoefficients) -> DepressedCubic:
     )
 
 
+def _root_residual_tol() -> float:
+    """ROOT_RESIDUAL_TOL scaled by the same factor as the input tolerance
+    (``set_tol_scale``, CLI ``--tol-scale``): input accepted as unitary only
+    to a looser tolerance carries its defect into both the roots and the
+    coefficients, so the residual they are held to scales with it."""
+    return ROOT_RESIDUAL_TOL * (tolerances.input_unitarity / Tolerances.input_unitarity)
+
+
 def _monic_value(coeffs: CubicCoefficients, x: float) -> float:
     return ((x + coeffs.p) * x + coeffs.q) * x + coeffs.r
 
@@ -258,7 +267,7 @@ def solve_depressed(dc: DepressedCubic) -> CubicRoots:
 
     Raises:
         ResidualTooLarge: if any root leaves [0, 1] by more than 1e-9 or its
-            polynomial residual exceeds 1e-8.
+            polynomial residual exceeds 1e-8 (times the tolerance scale).
     """
     if dc.t is None:
         cr = float(np.cbrt(dc.q / 2))
@@ -273,15 +282,14 @@ def solve_depressed(dc: DepressedCubic) -> CubicRoots:
     candidates = [_polish(dc.monic, big_x + dc.shift) for big_x in big_roots]
     candidates = _refine_close_pair(dc.monic, candidates)
 
+    tol = _root_residual_tol()
     roots = []
     for x in candidates:
         if x < -ROOT_RANGE_SLACK or x > 1 + ROOT_RANGE_SLACK:
             raise ResidualTooLarge(f"root {x!r} leaves [0, 1] beyond slack")
         residual = abs(_monic_value(dc.monic, x))
-        if residual > ROOT_RESIDUAL_TOL:
-            raise ResidualTooLarge(
-                f"root {x!r} has residual {residual:.3e} > {ROOT_RESIDUAL_TOL:.0e}"
-            )
+        if residual > tol:
+            raise ResidualTooLarge(f"root {x!r} has residual {residual:.3e} > {tol:.0e}")
         x = min(max(x, 0.0), 1.0)
         # arcsin(sqrt(x)) amplifies absolute root error near the endpoints, so
         # values within one part in 1e15 of 0 or 1 are taken exactly.
@@ -318,21 +326,40 @@ def _spectral_coords(m, det) -> CanonicalCoordinates:
 
 
 def _check_against_cubic(coords: CanonicalCoordinates, abc: ABCTriple) -> None:
-    """Require each sin^2(c_i) to be a root of the paper's cubic.
+    """Require the sin^2(c_i) to be the three roots of the paper's cubic.
+
+    Each must make the cubic vanish, and together they must reproduce its
+    coefficients (e1 = -p, e2 = q, e3 = -r).  The second test sees errors
+    the first cannot: next to a double root the cubic's value grows only
+    quadratically, so a coordinate 1e-3 rad off at CNOT leaves a residual
+    of 1e-12 but moves e1 by 1e-6.
 
     Raises:
         PositiveDiscriminant: if the triple cannot come from a unitary.
-        ResidualTooLarge: if a coordinate misses the cubic by more than 1e-8.
+        ResidualTooLarge: if either test misses by more than 1e-8 (times
+            the tolerance scale).
     """
     coeffs = cubic_coefficients(abc)
     depress(coeffs)
-    for c in coords.as_tuple():
-        residual = abs(_monic_value(coeffs, math.sin(c) ** 2))
-        if residual > ROOT_RESIDUAL_TOL:
+    tol = _root_residual_tol()
+    xs = [math.sin(c) ** 2 for c in coords.as_tuple()]
+    for c, x in zip(coords.as_tuple(), xs):
+        residual = abs(_monic_value(coeffs, x))
+        if residual > tol:
             raise ResidualTooLarge(
-                f"sin^2 of coordinate {c!r} has cubic residual {residual:.3e} "
-                f"> {ROOT_RESIDUAL_TOL:.0e}"
+                f"sin^2 of coordinate {c!r} has cubic residual {residual:.3e} > {tol:.0e}"
             )
+    x1, x2, x3 = xs
+    mismatch = max(
+        abs(x1 + x2 + x3 + coeffs.p),
+        abs(x1 * x2 + x1 * x3 + x2 * x3 - coeffs.q),
+        abs(x1 * x2 * x3 + coeffs.r),
+    )
+    if mismatch > tol:
+        raise ResidualTooLarge(
+            f"sin^2 of the coordinates miss the cubic's symmetric functions "
+            f"by {mismatch:.3e} > {tol:.0e}"
+        )
 
 
 def _analyze(u) -> tuple[CanonicalCoordinates, LocalInvariants, ABCTriple]:

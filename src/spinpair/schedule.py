@@ -27,7 +27,7 @@ import numpy as np
 from .config import tolerances
 from .errors import HardPulseRegimeViolated, ScheduleFormatError
 from .gates import CNOT, SQRT_SWAP, SWAP, controlled_u
-from .kak import kak_decompose
+from .kak import LocalGate, kak_decompose
 from .linalg import max_norm, unitary4
 
 ZERO_AMPLITUDE = 1e-15
@@ -234,13 +234,18 @@ def euler_xyx(k) -> tuple[float, float, float]:
         raise ValueError("euler_xyx expects a 2x2 matrix")
     if max_norm(k.conj().T @ k - np.eye(2)) > 1e-9 or abs(np.linalg.det(k) - 1) > 1e-9:
         raise ValueError("euler_xyx expects a special unitary (det 1) matrix")
+    return _xyx_angles(k)
 
+
+def _xyx_angles(k) -> tuple[float, float, float]:
+    """``euler_xyx`` of a matrix already known to be in SU(2)."""
     # Real quaternion-like components: k = cos(b/2)cos(s) - i [...] with
     # s = (alpha+delta)/2, d = (alpha-delta)/2, b = beta.
-    ca = float(k[0, 0].real)  # cos(b/2) cos(s)
-    cc = float(-k[0, 1].imag)  # cos(b/2) sin(s)
-    sb = float(-k[0, 1].real)  # sin(b/2) cos(d)
-    sd = float(-k[0, 0].imag)  # sin(b/2) sin(d)
+    k00, k01 = k[0].tolist()
+    ca = k00.real  # cos(b/2) cos(s)
+    cc = -k01.imag  # cos(b/2) sin(s)
+    sb = -k01.real  # sin(b/2) cos(d)
+    sd = -k00.imag  # sin(b/2) sin(d)
 
     cos_half = np.hypot(ca, cc)
     sin_half = np.hypot(sb, sd)
@@ -279,10 +284,14 @@ def _drift(duration: float) -> PulseSegment:
     return PulseSegment(duration, ControlAmplitudes(0.0, 0.0, 0.0, 0.0))
 
 
-def _local_stages(a, b, n: float) -> list[PulseSegment]:
-    """Render a local pair a (x) b as merged X, Y, X pulse stages (time order)."""
-    a1, b1, d1 = euler_xyx(a)
-    a2, b2, d2 = euler_xyx(b)
+def _local_stages(k: LocalGate, n: float) -> list[PulseSegment]:
+    """Render a local pair a (x) b as merged X, Y, X pulse stages (time order).
+
+    ``LocalGate`` has already checked both factors to be in SU(2) within the
+    1e-9 that ``euler_xyx`` would test again.
+    """
+    a1, b1, d1 = _xyx_angles(k.a)
+    a2, b2, d2 = _xyx_angles(k.b)
     segments = []
     segments += _pulse("x", d1, d2, n)
     segments += _pulse("y", b1, b2, n)
@@ -346,7 +355,7 @@ def _kak_segments(u, coupling_j: float, n: float) -> tuple[tuple[PulseSegment, .
     segments: list[PulseSegment] = []
     drift_total = 0.0
 
-    segments += _local_stages(decomposition.k2.a, decomposition.k2.b, n)
+    segments += _local_stages(decomposition.k2, n)
 
     def drift_window(coordinate: float) -> float:
         duration = abs(coordinate) / (np.pi * coupling_j)
@@ -375,7 +384,7 @@ def _kak_segments(u, coupling_j: float, n: float) -> tuple[tuple[PulseSegment, .
         drift_total += drift_window(c1)
         segments += _pulse("y", -np.pi / 2, np.pi / 2, n)
 
-    segments += _local_stages(decomposition.k1.a, decomposition.k1.b, n)
+    segments += _local_stages(decomposition.k1, n)
     return tuple(segments), drift_total
 
 

@@ -214,6 +214,25 @@ class TestTolScale:
         code, _, _ = run_cli(capsys, "invariants", "--matrix", str(path))
         assert code == 2
 
+    def test_mintime_of_a_perturbed_edge_gate(self, capsys, tmp_path):
+        # An edge gate off the unitary group by about 6e-8, accepted under
+        # --tol-scale 1000; the cubic check is held to the scaled tolerance.
+        from conftest import weyl_gate
+
+        rng = np.random.default_rng(5)
+        m = weyl_gate(rng, np.pi / 2, 0.79, np.pi / 4) @ np.diag(1 + 3e-8 * rng.standard_normal(4))
+        path = tmp_path / "edge.mat"
+        write_matrix(path, m)
+        code, out, err = run_cli(
+            capsys, "mintime", "--matrix", str(path), "--coupling", "1",
+            "--tol-scale", "1000", "--output", "json",
+        )
+        assert (code, err) == (0, "")
+        coords = json.loads(out)["coords_rad"]
+        assert [coords["c1"], coords["c2"], coords["c3"]] == pytest.approx(
+            [np.pi / 2, 0.79, np.pi / 4], abs=1e-6
+        )
+
 
 class TestPipelineExitCode:
     def test_positive_discriminant_maps_to_3(self, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinpair.gates import CNOT, SQRT_SWAP, SWAP, controlled_u, controlled_u_angle, named_gate
+from spinpair.gates import CNOT, SQRT_SWAP, SWAP, controlled_u, named_gate
 from spinpair.linalg import max_norm, unitary4
 
 
@@ -25,10 +25,6 @@ def test_controlled_u_block_structure(rng):
 
 def test_controlled_u_zero_is_identity():
     assert max_norm(controlled_u(0, 0, 0) - np.eye(4)) < 1e-15
-
-
-def test_controlled_u_angle():
-    assert controlled_u_angle(3, 4, 0) == pytest.approx(5)
 
 
 def test_named_gate_lookup():

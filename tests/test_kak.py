@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
-from spinpair.errors import NotLocal
-from spinpair.gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP
+import spinpair.invariants
+from spinpair import kak
+from spinpair.errors import DegenerateSpectrum, NonUnitary, NotLocal, ReconstructionFailed
+from spinpair.gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP, controlled_u
 from spinpair.invariants import local_invariants
 from spinpair.kak import (
+    LocalGate,
+    _factor_locals,
     factor_local,
     interaction_unitary,
     kak_decompose,
     reconstruct,
 )
-from spinpair.linalg import SIGMA_X, SIGMA_Y, ZZ, expm_hermitian, kron, max_norm, rotation
+from spinpair.linalg import I2, SIGMA_X, SIGMA_Y, ZZ, expm_hermitian, kron, max_norm, rotation
 from spinpair.mintime import canonical_coords
 
 from conftest import haar_unitary, random_local, random_su2, weyl_gate
@@ -88,6 +92,14 @@ class TestFactorLocal:
         assert np.array_equal(lg1.a, lg2.a)
         first = next(x for x in lg1.a.ravel() if abs(x) > 1e-12)
         assert first.real >= -1e-12
+
+    def test_stack_matches_single_calls(self, rng):
+        ks = np.stack([np.exp(1j * rng.uniform(-3, 3)) * kron(random_su2(rng), random_su2(rng)) for _ in range(3)])
+        a, b, phase = _factor_locals(ks)
+        for i, k in enumerate(ks):
+            one = factor_local(k)
+            assert np.array_equal(a[i], one.a) and np.array_equal(b[i], one.b)
+            assert phase[i] == one.phase
 
     def test_cnot_not_local(self):
         with pytest.raises(NotLocal):
@@ -204,3 +216,117 @@ class TestTextbookCnotDecomposition:
         k2 = kron(ex("y", -np.pi / 4), ex("y", np.pi / 2))
         got = np.exp(-1j * np.pi / 4) * k1 @ interaction_unitary(np.pi / 2, 0, 0) @ k2
         assert max_norm(got - CNOT) < 1e-10
+
+
+class TestChecksStillFire:
+    """Each check on the KAK path still raises now that the input is
+    validated once and both local factors share one SVD."""
+
+    def test_input_unitarity(self):
+        with pytest.raises(NonUnitary):
+            kak_decompose(1.001 * CNOT)
+
+    def test_eigenbasis_residual(self, monkeypatch, rng):
+        # A basis turned away from the eigenvectors of m leaves a residual far
+        # above 1e-7 on every cluster-tolerance pass.
+        eigh = np.linalg.eigh
+        turn = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+
+        def turned(a, *args, **kwargs):
+            w, v = eigh(a, *args, **kwargs)
+            return (w, v @ turn) if np.shape(a) == (4, 4) else (w, v)
+
+        monkeypatch.setattr(np.linalg, "eigh", turned)
+        with pytest.raises(DegenerateSpectrum, match="real eigenbasis"):
+            kak_decompose(haar_unitary(rng))
+
+    def test_left_factor_is_real(self, monkeypatch, rng):
+        # Wrong eigenphases leave L = U_B P diag(exp(-i theta)) complex.
+        basis = kak._real_orthogonal_eigenbasis
+
+        def dephased(m):
+            p, mu = basis(m)
+            return p, mu * np.exp(0.2j * np.arange(4))
+
+        monkeypatch.setattr(kak, "_real_orthogonal_eigenbasis", dephased)
+        with pytest.raises(DegenerateSpectrum, match="not real"):
+            kak_decompose(haar_unitary(rng))
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["k1", "k2"])
+    def test_rank_of_each_factor(self, monkeypatch, rng, which):
+        svd = np.linalg.svd
+
+        def leaky(a, *args, **kwargs):
+            u, s, vh = svd(a, *args, **kwargs)
+            s = s.copy()
+            s[which, 1] = 1e-7
+            return u, s, vh
+
+        monkeypatch.setattr(np.linalg, "svd", leaky)
+        with pytest.raises(NotLocal, match="1.000e-07 > 1e-08"):
+            kak_decompose(haar_unitary(rng))
+
+    @pytest.mark.parametrize(
+        "m,match",
+        [
+            (1.001 * I2, "not unitary"),
+            (np.array([[1, 2e-9], [0, 1]]), "not unitary"),
+            (np.diag([1, -1]), "not det-1"),
+            (1j * I2, "not det-1"),
+        ],
+        ids=["scaled", "off-diagonal", "det-minus-1", "det-phase"],
+    )
+    def test_local_gate(self, m, match):
+        m = np.asarray(m, dtype=complex)
+        with pytest.raises(ValueError, match=f"factor a is {match}"):
+            LocalGate(a=m, b=I2)
+        with pytest.raises(ValueError, match=f"factor b is {match}"):
+            LocalGate(a=I2, b=m)
+
+    def test_local_gate_accepts_su2(self, rng):
+        LocalGate(a=random_su2(rng), b=rotation("x", 0.3))
+
+    def test_local_gate_inside_kak(self, monkeypatch, rng):
+        factors = kak._factor_locals
+
+        def stretched(k):
+            a, b, phase = factors(k)
+            return a * 1.001, b, phase
+
+        monkeypatch.setattr(kak, "_factor_locals", stretched)
+        with pytest.raises(ValueError, match="not unitary"):
+            kak_decompose(haar_unitary(rng))
+
+    def test_reconstruction(self, monkeypatch, rng):
+        coords = kak._coords_from_phases
+        monkeypatch.setattr(kak, "_coords_from_phases", lambda theta: [c + 1e-5 for c in coords(theta)])
+        with pytest.raises(ReconstructionFailed):
+            kak_decompose(haar_unitary(rng))
+
+
+class TestSharedWork:
+    @pytest.mark.parametrize(
+        "gate",
+        ["haar", CNOT, SWAP, SQRT_SWAP, IDENTITY4, controlled_u(0.3, -0.4, 1.2)],
+        ids=["haar", "cnot", "swap", "sqrtswap", "identity", "cu"],
+    )
+    def test_one_svd_and_one_input_check(self, monkeypatch, rng, gate):
+        u = haar_unitary(rng) if isinstance(gate, str) else gate
+        svds, checks = [], []
+        svd, unitary4 = np.linalg.svd, kak.unitary4
+
+        def counting_svd(a, *args, **kwargs):
+            svds.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def counting_check(m, *args, **kwargs):
+            checks.append(np.shape(m))
+            return unitary4(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for module in (kak, spinpair.invariants):
+            monkeypatch.setattr(module, "unitary4", counting_check)
+        kak_decompose(u)
+        assert svds == [(2, 4, 4)]
+        # the input once, then both local factors in one stacked check
+        assert checks == [(4, 4), (2, 4, 4)]

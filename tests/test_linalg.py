@@ -10,7 +10,6 @@ from spinpair.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     ZZ,
-    det4,
     expm_hermitian,
     hermitian4,
     kron,
@@ -18,7 +17,6 @@ from spinpair.linalg import (
     rotation,
     unitary4,
 )
-from spinpair.gates import CNOT
 
 from conftest import haar_unitary
 
@@ -48,6 +46,19 @@ class TestKron:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             kron(np.eye(3), I2)
+
+    def test_bit_identical_to_numpy(self, rng):
+        for _ in range(20):
+            a, b = (rng.standard_normal((2, 2, 2)) @ [1, 1j] for _ in range(2))
+            assert np.array_equal(kron(a, b), np.kron(a, b))
+
+    def test_stacks_broadcast(self, rng):
+        a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        got = kron(a, b)
+        assert got.shape == (3, 4, 4)
+        for i in range(3):
+            assert np.array_equal(got[i], np.kron(a[i], b))
 
 
 class TestExpmHermitian:
@@ -88,27 +99,12 @@ class TestExpmHermitian:
             h = random_hermitian(rng)
             t = rng.uniform(0, 1)
             want = np.exp(-1j * t * np.trace(h))
-            assert abs(det4(expm_hermitian(h, t)) - want) < 1e-9
+            assert abs(np.linalg.det(expm_hermitian(h, t)) - want) < 1e-9
 
     def test_rejects_non_hermitian(self, rng):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         with pytest.raises(NonHermitian):
             expm_hermitian(m, 1.0)
-
-
-class TestDet4:
-    def test_identity(self):
-        assert det4(np.eye(4)) == pytest.approx(1)
-
-    def test_cnot(self):
-        # odd permutation matrix
-        assert det4(CNOT) == pytest.approx(-1)
-
-    def test_kron_identity(self, rng):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        want = np.linalg.det(a) ** 2 * np.linalg.det(b) ** 2
-        assert det4(np.kron(a, b)) == pytest.approx(want, rel=1e-9)
 
 
 class TestValidation:

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinpair.config import set_tol_scale
 from spinpair.errors import (
     NonPositiveCoupling,
+    NonRealG2,
+    NonUnitary,
     PositiveDiscriminant,
     ResidualTooLarge,
     SpinPairError,
@@ -221,6 +224,63 @@ class TestCubicCheck:
         )
         with pytest.raises(ResidualTooLarge):
             min_time(CNOT, 1.0)
+
+    def test_double_root_hides_a_small_error_from_the_residual(self):
+        # CNOT's cubic is x^2 (x - 1): sin^2(1e-3) = 1e-6 leaves a residual
+        # of only 1e-12, but moves e1 = x1 + x2 + x3 by 1e-6.
+        coeffs = cubic_coefficients(abc_from_coords(np.pi / 2, 0, 0))
+        assert abs(mintime._monic_value(coeffs, np.sin(1e-3) ** 2)) < 1e-11
+        with pytest.raises(ResidualTooLarge, match="symmetric functions"):
+            mintime._check_against_cubic(
+                CanonicalCoordinates(np.pi / 2, 1e-3, 0), abc_from_coords(np.pi / 2, 0, 0)
+            )
+
+    def test_min_time_sees_a_small_error_at_cnot(self, monkeypatch):
+        monkeypatch.setattr(
+            mintime, "_spectral_coords", lambda m, det: CanonicalCoordinates(np.pi / 2, 1e-3, 0)
+        )
+        with pytest.raises(ResidualTooLarge, match="symmetric functions"):
+            min_time(CNOT, 1.0)
+
+    def test_symmetric_functions_of_true_coordinates(self, rng):
+        for _ in range(200):
+            c = np.sort(rng.uniform(0, np.pi / 2, size=3))[::-1]
+            mintime._check_against_cubic(CanonicalCoordinates(*c), abc_from_coords(*c))
+
+
+class TestResidualToleranceScale:
+    """The cubic check scales with --tol-scale like the input tolerance:
+    input accepted as unitary only to the looser tolerance carries its
+    defect into both routes."""
+
+    @pytest.fixture
+    def scaled(self):
+        yield set_tol_scale
+        set_tol_scale(1.0)
+
+    def test_read_at_call_time(self, scaled):
+        scaled(1000)
+        assert mintime._root_residual_tol() == pytest.approx(1e-5)
+        scaled(1.0)
+        assert mintime._root_residual_tol() == 1e-8
+
+    @pytest.mark.parametrize(
+        "scale,eps,seed,count", [(1e3, 3e-8, 2, 1000), (1e4, 3e-7, 4, 200)], ids=["1e3", "1e4"]
+    )
+    def test_accepted_input_meets_the_cubic(self, scaled, scale, eps, seed, count):
+        # With the residual tolerance left at 1e-8, one accepted gate of the
+        # first set and four of the second raised ResidualTooLarge.
+        scaled(scale)
+        rng = np.random.default_rng(seed)
+        accepted = 0
+        for u, _ in _boundary_sample(rng, count):
+            u = u @ np.diag(1 + eps * rng.standard_normal(4))
+            try:
+                min_time(u, 1.0)
+            except (NonUnitary, NonRealG2):
+                continue
+            accepted += 1
+        assert accepted >= count // 10
 
 
 def _boundary_sample(rng, count, edge_prob=0.5, mirror_prob=0.3):
