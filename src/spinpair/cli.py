@@ -20,7 +20,6 @@ from .config import set_tol_scale
 from .errors import (
     HardPulseRegimeViolated,
     NonRealG2,
-    NonUnitary,
     PositiveDiscriminant,
     ResidualTooLarge,
     ScheduleFormatError,
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .invariants import abc_from_invariants, local_invariants
 from .kak import kak_decompose
-from .mintime import min_time
+from .mintime import canonical_coords, min_time
 from .schedule import GateSpec, load_schedule, save_schedule, synthesize
 from .simulate import evolve, verify
 
@@ -38,7 +37,9 @@ EXIT_PIPELINE = 3
 EXIT_HARD_PULSE = 4
 EXIT_FIDELITY = 5
 
-_INPUT_ERRORS = (NonUnitary, ScheduleFormatError, OSError, ValueError)
+# Caught after the pipeline and hard-pulse errors, so every other SpinPairError
+# (NonUnitary, ScheduleFormatError, ...) is an input failure.
+_INPUT_ERRORS = (SpinPairError, OSError, ValueError)
 _PIPELINE_ERRORS = (NonRealG2, PositiveDiscriminant, ResidualTooLarge)
 
 
@@ -111,6 +112,16 @@ def _angle_unit(args) -> str:
     return "deg" if args.degrees else "rad"
 
 
+def _coords_block(coords, args) -> dict:
+    return {
+        f"coords_{_angle_unit(args)}": {
+            "c1": _maybe_degrees(coords.c1, args),
+            "c2": _maybe_degrees(coords.c2, args),
+            "c3": _maybe_degrees(coords.c3, args),
+        }
+    }
+
+
 def _invariants_block(inv, abc) -> dict:
     return {
         "g1": {"re": inv.g1.real, "im": inv.g1.imag},
@@ -131,14 +142,9 @@ def cmd_invariants(args) -> int:
 def cmd_mintime(args) -> int:
     gate = _gate_from_args(args)
     result = min_time(gate.unitary(), args.coupling)
-    unit = _angle_unit(args)
     report = {"gate": gate.label()}
     report.update(_invariants_block(result.invariants, result.abc))
-    report[f"coords_{unit}"] = {
-        "c1": _maybe_degrees(result.coords.c1, args),
-        "c2": _maybe_degrees(result.coords.c2, args),
-        "c3": _maybe_degrees(result.coords.c3, args),
-    }
+    report.update(_coords_block(result.coords, args))
     report["coupling_j_hz"] = result.coupling_j
     report["t_star_seconds"] = result.t_star
     _print_report(report, args.output == "json")
@@ -147,16 +153,7 @@ def cmd_mintime(args) -> int:
 
 def cmd_coords(args) -> int:
     gate = _gate_from_args(args)
-    result = min_time(gate.unitary(), args.coupling)
-    unit = _angle_unit(args)
-    report = {
-        "gate": gate.label(),
-        f"coords_{unit}": {
-            "c1": _maybe_degrees(result.coords.c1, args),
-            "c2": _maybe_degrees(result.coords.c2, args),
-            "c3": _maybe_degrees(result.coords.c3, args),
-        },
-    }
+    report = {"gate": gate.label(), **_coords_block(canonical_coords(gate.unitary()), args)}
     _print_report(report, args.output == "json")
     return EXIT_OK
 
@@ -164,15 +161,10 @@ def cmd_coords(args) -> int:
 def cmd_kak(args) -> int:
     gate = _gate_from_args(args)
     d = kak_decompose(gate.unitary())
-    unit = _angle_unit(args)
     report = {
         "gate": gate.label(),
-        f"coords_{unit}": {
-            "c1": _maybe_degrees(d.coords.c1, args),
-            "c2": _maybe_degrees(d.coords.c2, args),
-            "c3": _maybe_degrees(d.coords.c3, args),
-        },
-        f"global_phase_{unit}": _maybe_degrees(d.global_phase, args),
+        **_coords_block(d.coords, args),
+        f"global_phase_{_angle_unit(args)}": _maybe_degrees(d.global_phase, args),
         "k1_a": _matrix_dict(d.k1.a),
         "k1_b": _matrix_dict(d.k1.b),
         "k2_a": _matrix_dict(d.k2.a),
@@ -274,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coords", help="canonical coordinates only")
     _add_gate_arguments(p)
     _add_common(p)
-    p.add_argument("--coupling", type=float, default=1.0, help="coupling J in Hz")
     p.set_defaults(func=cmd_coords)
 
     p = sub.add_parser("kak", help="full Cartan decomposition")
@@ -328,9 +319,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HARD_PULSE
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SpinPairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -41,29 +41,10 @@ def controlled_u(gamma1: float, gamma2: float, gamma3: float) -> np.ndarray:
     return cu
 
 
-_BUILTIN = {
-    "cnot": lambda: CNOT,
-    "swap": lambda: SWAP,
-    "sqrtswap": lambda: SQRT_SWAP,
-    "identity": lambda: IDENTITY4,
-}
-
-
-def named_gate(name: str) -> np.ndarray:
-    """Look up a parameter-free library gate by its CLI name."""
-    try:
-        return _BUILTIN[name]().copy()
-    except KeyError:
-        raise KeyError(
-            f"unknown gate {name!r}; expected one of {sorted(_BUILTIN)}"
-        ) from None
-
-
 __all__ = [
     "IDENTITY4",
     "CNOT",
     "SWAP",
     "SQRT_SWAP",
     "controlled_u",
-    "named_gate",
 ]

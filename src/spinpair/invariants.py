@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import scaled
 from .errors import NonRealG2
 from .linalg import unitary4
 
@@ -134,12 +135,13 @@ def abc_from_invariants(inv: LocalInvariants) -> ABCTriple:
     """Split (G1, G2) into the real triple (a, b, c).
 
     Raises:
-        NonRealG2: if |Im G2| exceeds 1e-8, which no unitary input produces.
+        NonRealG2: if |Im G2| exceeds 1e-8 (times the tolerance scale, since
+            input accepted at a looser scale carries its defect into G2),
+            which no unitary input produces.
     """
-    if abs(inv.g2.imag) > G2_IMAG_TOL:
-        raise NonRealG2(
-            f"|Im G2| = {abs(inv.g2.imag):.3e} exceeds {G2_IMAG_TOL:.0e}"
-        )
+    tol = scaled(G2_IMAG_TOL)
+    if abs(inv.g2.imag) > tol:
+        raise NonRealG2(f"|Im G2| = {abs(inv.g2.imag):.3e} exceeds {tol:.0e}")
     return ABCTriple(a=inv.g1.real, b=inv.g1.imag, c=inv.g2.real)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, tolerances
+from .config import scaled
 from .errors import NonPositiveCoupling, PositiveDiscriminant, ResidualTooLarge
 from .invariants import (
     ABCTriple,
@@ -184,11 +184,11 @@ def depress(coeffs: CubicCoefficients) -> DepressedCubic:
 
 
 def _root_residual_tol() -> float:
-    """ROOT_RESIDUAL_TOL scaled by the same factor as the input tolerance
-    (``set_tol_scale``, CLI ``--tol-scale``): input accepted as unitary only
-    to a looser tolerance carries its defect into both the roots and the
-    coefficients, so the residual they are held to scales with it."""
-    return ROOT_RESIDUAL_TOL * (tolerances.input_unitarity / Tolerances.input_unitarity)
+    """ROOT_RESIDUAL_TOL at the current tolerance scale (``set_tol_scale``,
+    CLI ``--tol-scale``): input accepted as unitary only to a looser
+    tolerance carries its defect into both the roots and the coefficients,
+    so the residual they are held to scales with it."""
+    return scaled(ROOT_RESIDUAL_TOL)
 
 
 def _monic_value(coeffs: CubicCoefficients, x: float) -> float:

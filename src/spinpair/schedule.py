@@ -10,11 +10,17 @@ free-drift segments, whose total equals the analytic minimal time; the
 residual infidelity is the physical O(J/N) hard-pulse error, not a numerical
 artifact.
 
-CNOT uses the dedicated five-segment sequence; SWAP and sqrt(SWAP) use the
-three-drift pulse products; everything else goes through the Cartan
-decomposition, realizing each interaction coordinate as a conjugated drift
-window (the drift natively accumulates negative ZZ phase, so a positive
-coordinate needs a pi x-pulse sandwich on the second qubit).
+``synthesize`` is the one constructor of synthesized schedules.  It picks the
+segment builder: CNOT uses the dedicated five-segment sequence; SWAP and
+sqrt(SWAP) use the three-drift pulse products; everything else goes through
+the Cartan decomposition, realizing each interaction coordinate as a
+conjugated drift window (the drift natively accumulates negative ZZ phase, so
+a positive coordinate needs a pi x-pulse sandwich on the second qubit).
+
+No builder states a drift time.  A segment is free drift when all four
+amplitudes are exactly 0.0, the rule by which propagation takes the
+closed-form drift propagator, and ``Schedule`` reads its drift time as the
+sum of those segments' durations, for synthesized and loaded schedules alike.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .gates import CNOT, SQRT_SWAP, SWAP, controlled_u
 from .kak import LocalGate, kak_decompose
 from .linalg import max_norm, unitary4
 
-ZERO_AMPLITUDE = 1e-15
 COORD_SKIP = 1e-12  # interaction coordinates below this emit no segment
 
 
@@ -48,7 +53,9 @@ class ControlAmplitudes:
 
     @property
     def is_zero(self) -> bool:
-        return all(abs(v) <= ZERO_AMPLITUDE for v in self.as_tuple())
+        """Free drift: all four amplitudes exactly 0.0 (-0.0 included), the
+        rule by which propagation takes the closed-form drift propagator."""
+        return self.v1 == 0.0 and self.v2 == 0.0 and self.v3 == 0.0 and self.v4 == 0.0
 
 
 @dataclass(frozen=True)
@@ -150,23 +157,19 @@ class GateSpec:
         return self.name
 
 
-def _zero_amp_time(segments) -> float:
-    return float(sum(s.duration for s in segments if s.amplitudes.is_zero))
-
-
 @dataclass(frozen=True, eq=False)
 class Schedule:
     segments: tuple[PulseSegment, ...]
     coupling_j: float
     pulse_strength_n: float
     target: GateSpec
-    declared_drift_time: float
+    # Total duration of the free-drift segments, in time order; read from
+    # the segments once, never declared by the caller.
+    declared_drift_time: float = field(init=False)
 
     def __post_init__(self):
-        if abs(self.declared_drift_time - _zero_amp_time(self.segments)) > 1e-12:
-            raise ValueError(
-                "declared drift time does not match the zero-amplitude segments"
-            )
+        drift = float(sum(s.duration for s in self.segments if s.amplitudes.is_zero))
+        object.__setattr__(self, "declared_drift_time", drift)
 
     @property
     def wall_time(self) -> float:
@@ -199,7 +202,6 @@ class Schedule:
                 coupling_j=float(data["coupling_j_hz"]),
                 pulse_strength_n=float(data["pulse_strength_n"]),
                 target=target,
-                declared_drift_time=_zero_amp_time(segments),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ScheduleFormatError):
@@ -309,25 +311,15 @@ def _require_hard_pulse(coupling_j: float, pulse_strength_n: float) -> None:
         )
 
 
-def cnot_schedule(coupling_j: float, pulse_strength_n: float) -> Schedule:
-    """The five-segment CNOT sequence: one free-drift window of 1/(2J) framed
-    by four hard pulses."""
-    _require_hard_pulse(coupling_j, pulse_strength_n)
-    n = pulse_strength_n
+def _cnot_segments(coupling_j: float, n: float) -> tuple[PulseSegment, ...]:
+    # One free-drift window of 1/(2J) framed by four hard pulses.
     tau = 1.0 / n
-    segments = (
+    return (
         PulseSegment(tau, ControlAmplitudes(0.0, n / 2, 0.0, n / 4)),
         _drift(1.0 / (2 * coupling_j)),
         PulseSegment(tau, ControlAmplitudes(0.0, -n / 4, 0.0, -n / 4)),
         PulseSegment(tau, ControlAmplitudes(-n / 4, 0.0, -n / 4, 0.0)),
         PulseSegment(tau, ControlAmplitudes(0.0, -n / 4, 0.0, 0.0)),
-    )
-    return Schedule(
-        segments=segments,
-        coupling_j=float(coupling_j),
-        pulse_strength_n=float(n),
-        target=GateSpec.cnot(),
-        declared_drift_time=1.0 / (2 * coupling_j),
     )
 
 
@@ -349,43 +341,40 @@ def _swap_family_segments(drift_duration: float, n: float) -> tuple[PulseSegment
     return tuple(segments)
 
 
-def _kak_segments(u, coupling_j: float, n: float) -> tuple[tuple[PulseSegment, ...], float]:
+def _kak_segments(u, coupling_j: float, n: float) -> tuple[PulseSegment, ...]:
     decomposition = kak_decompose(u)
     c1, c2, c3 = decomposition.coords.as_tuple()
     segments: list[PulseSegment] = []
-    drift_total = 0.0
 
     segments += _local_stages(decomposition.k2, n)
 
-    def drift_window(coordinate: float) -> float:
-        duration = abs(coordinate) / (np.pi * coupling_j)
-        segments.append(_drift(duration))
-        return duration
+    def drift_window(coordinate: float) -> None:
+        segments.append(_drift(abs(coordinate) / (np.pi * coupling_j)))
 
     # ZZ: the drift accumulates exp(-i theta ZZ), so a negative coordinate is
     # free evolution and a positive one needs the (1 (x) X) sign-flip sandwich.
     if abs(c3) > COORD_SKIP:
         if c3 > 0:
             segments += _pulse("x", 0.0, np.pi, n)
-            drift_total += drift_window(c3)
+            drift_window(c3)
             segments += _pulse("x", 0.0, -np.pi, n)
         else:
-            drift_total += drift_window(c3)
+            drift_window(c3)
 
     # YY: conjugate ZZ -> -YY with opposite x rotations.
     if c2 > COORD_SKIP:
         segments += _pulse("x", -np.pi / 2, np.pi / 2, n)
-        drift_total += drift_window(c2)
+        drift_window(c2)
         segments += _pulse("x", np.pi / 2, -np.pi / 2, n)
 
     # XX: conjugate ZZ -> -XX with opposite y rotations.
     if c1 > COORD_SKIP:
         segments += _pulse("y", np.pi / 2, -np.pi / 2, n)
-        drift_total += drift_window(c1)
+        drift_window(c1)
         segments += _pulse("y", -np.pi / 2, np.pi / 2, n)
 
     segments += _local_stages(decomposition.k1, n)
-    return tuple(segments), drift_total
+    return tuple(segments)
 
 
 def synthesize(spec: GateSpec, coupling_j: float, pulse_strength_n: float) -> Schedule:
@@ -395,23 +384,18 @@ def synthesize(spec: GateSpec, coupling_j: float, pulse_strength_n: float) -> Sc
     analytic minimal time of the gate; all pulse segments shrink as 1/N.
     """
     _require_hard_pulse(coupling_j, pulse_strength_n)
-    if spec.name == "cnot":
-        return cnot_schedule(coupling_j, pulse_strength_n)
-
     n = float(pulse_strength_n)
-    if spec.name == "swap":
+    if spec.name == "cnot":
+        segments = _cnot_segments(coupling_j, n)
+    elif spec.name == "swap":
         segments = _swap_family_segments(1.0 / (2 * coupling_j), n)
-        drift = 3.0 / (2 * coupling_j)
     elif spec.name == "sqrtswap":
         segments = _swap_family_segments(1.0 / (4 * coupling_j), n)
-        drift = 3.0 / (4 * coupling_j)
     else:
-        segments, drift = _kak_segments(spec.unitary(), coupling_j, n)
-
+        segments = _kak_segments(spec.unitary(), coupling_j, n)
     return Schedule(
         segments=segments,
         coupling_j=float(coupling_j),
         pulse_strength_n=n,
         target=spec,
-        declared_drift_time=float(drift),
     )

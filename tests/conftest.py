@@ -1,5 +1,11 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture
@@ -43,3 +49,14 @@ def weyl_gate(rng, c1, c2, c3):
         center = center @ (np.cos(c / 2) * np.eye(4) + 1j * np.sin(c / 2) * pair)
     phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
     return phase * random_local(rng) @ center @ random_local(rng)
+
+
+def bench_module(name):
+    """Load ``bench/<name>.py`` by path (read only; it is not a package)."""
+    key = f"bench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules[key]

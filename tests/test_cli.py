@@ -5,7 +5,7 @@ import pytest
 
 from spinpair.cli import main
 from spinpair.gates import SQRT_SWAP
-from spinpair.schedule import cnot_schedule
+from spinpair.schedule import GateSpec, synthesize
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +156,25 @@ t_star_seconds = 0.0795774715459
 }
 
 
+# `coords` output for the MINTIME_GOLDEN gates: text, JSON and --degrees.
+COORDS_GOLDEN = {
+    ("cnot", "text"): "gate = cnot\ncoords_rad.c1 = 1.57079632679\ncoords_rad.c2 = 0\ncoords_rad.c3 = 0\n",
+    ("cnot", "json"): '{\n  "gate": "cnot",\n  "coords_rad": {\n    "c1": 1.5707963267948966,\n    "c2": 0.0,\n    "c3": 0.0\n  }\n}\n',
+    ("cnot", "degrees"): "gate = cnot\ncoords_deg.c1 = 90\ncoords_deg.c2 = 0\ncoords_deg.c3 = 0\n",
+    ("swap", "text"): "gate = swap\ncoords_rad.c1 = 1.57079632679\ncoords_rad.c2 = 1.57079632679\ncoords_rad.c3 = 1.57079632679\n",
+    ("swap", "json"): '{\n  "gate": "swap",\n  "coords_rad": {\n    "c1": 1.5707963267948966,\n    "c2": 1.5707963267948966,\n    "c3": 1.5707963267948966\n  }\n}\n',
+    ("swap", "degrees"): "gate = swap\ncoords_deg.c1 = 90\ncoords_deg.c2 = 90\ncoords_deg.c3 = 90\n",
+    ("sqrtswap", "text"): "gate = sqrtswap\ncoords_rad.c1 = 0.785398163397\ncoords_rad.c2 = 0.785398163397\ncoords_rad.c3 = 0.785398163397\n",
+    ("sqrtswap", "json"): '{\n  "gate": "sqrtswap",\n  "coords_rad": {\n    "c1": 0.7853981633974483,\n    "c2": 0.7853981633974483,\n    "c3": 0.7853981633974483\n  }\n}\n',
+    ("sqrtswap", "degrees"): "gate = sqrtswap\ncoords_deg.c1 = 45\ncoords_deg.c2 = 45\ncoords_deg.c3 = 45\n",
+    ("cu", "text"): "gate = cu(0, 0, 0.5)\ncoords_rad.c1 = 0.5\ncoords_rad.c2 = 0\ncoords_rad.c3 = 0\n",
+    ("cu", "json"): '{\n  "gate": "cu(0, 0, 0.5)",\n  "coords_rad": {\n    "c1": 0.5,\n    "c2": 0.0,\n    "c3": 0.0\n  }\n}\n',
+    ("cu", "degrees"): "gate = cu(0, 0, 0.5)\ncoords_deg.c1 = 28.6478897565\ncoords_deg.c2 = 0\ncoords_deg.c3 = 0\n",
+}
+COORDS_GATES = {g[1]: g for g in MINTIME_GOLDEN}
+COORDS_FLAGS = {"text": (), "json": ("--output", "json"), "degrees": ("--degrees",)}
+
+
 class TestMintimeGolden:
     @pytest.mark.parametrize("gate", list(MINTIME_GOLDEN), ids=lambda g: g[1])
     def test_text_report(self, capsys, gate):
@@ -163,6 +182,14 @@ class TestMintimeGolden:
         assert code == 0
         assert err == ""
         assert out == MINTIME_GOLDEN[gate]
+
+    @pytest.mark.parametrize("key", list(COORDS_GOLDEN), ids="-".join)
+    def test_coords_report(self, capsys, key):
+        gate, fmt = key
+        code, out, err = run_cli(capsys, "coords", *COORDS_GATES[gate], *COORDS_FLAGS[fmt])
+        assert code == 0
+        assert err == ""
+        assert out == COORDS_GOLDEN[key]
 
     def test_invariants_computed_once(self, capsys, monkeypatch):
         from spinpair import invariants
@@ -309,6 +336,34 @@ class TestScheduleAndVerify:
         assert code == 0
         assert json.loads(out)["drift_time_s"] == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("gate", ["swap", "sqrtswap"])
+    def test_drift_time_matches_verify(self, capsys, tmp_path, gate):
+        # At J = 2.5 the three windows sum to 3/(2J) + 1 ulp (sqrtswap:
+        # 3/(4J) + 1 ulp); both commands report that sum.
+        path = str(tmp_path / "s.sched")
+        argv = ["--gate", gate, "--coupling", "2.5", "--pulse-strength", "1000"]
+        code, out, _ = run_cli(capsys, "schedule", *argv, "-o", path, "--output", "json")
+        assert code == 0
+        scheduled = json.loads(out)["drift_time_s"]
+        code, out, _ = run_cli(capsys, "verify", "--schedule", path, "--output", "json")
+        assert code == 0
+        assert json.loads(out)["drift_time_s"] == scheduled
+
+    def test_small_coupling_swap(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "schedule",
+            "--gate",
+            "swap",
+            "--coupling",
+            "0.00010080936409388592",
+            "--pulse-strength",
+            "1",
+        )
+        assert code == 0
+        assert err == ""
+        assert "segments = 8" in out
+
     def test_soft_pulse_exits_4(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -393,7 +448,7 @@ def schedule_file(path, coupling=1.0, v0=None, segments=None):
     """A CNOT schedule file with ``coupling``, its segments replaced by
     ``segments`` and segment 0's amplitudes by ``v0`` when given.  NaN and
     Infinity are written as JSON tokens, which the loader accepts."""
-    data = cnot_schedule(1.0, 1000.0).to_dict()
+    data = synthesize(GateSpec.cnot(), 1.0, 1000.0).to_dict()
     if segments is not None:
         data["segments"] = segments
     if v0 is not None:

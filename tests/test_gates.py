@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from spinpair.gates import CNOT, SQRT_SWAP, SWAP, controlled_u, named_gate
+from spinpair.gates import CNOT, SQRT_SWAP, SWAP, controlled_u
 from spinpair.linalg import max_norm, unitary4
 
 
@@ -26,8 +25,3 @@ def test_controlled_u_block_structure(rng):
 def test_controlled_u_zero_is_identity():
     assert max_norm(controlled_u(0, 0, 0) - np.eye(4)) < 1e-15
 
-
-def test_named_gate_lookup():
-    assert np.array_equal(named_gate("cnot"), CNOT)
-    with pytest.raises(KeyError):
-        named_gate("toffoli")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinpair.config import set_tol_scale
 from spinpair.errors import NonRealG2
 from spinpair.gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP, controlled_u
 from spinpair.invariants import (
@@ -98,6 +99,16 @@ class TestAbcConversion:
     def test_rejects_complex_g2(self):
         with pytest.raises(NonRealG2):
             abc_from_invariants(LocalInvariants(g1=0j, g2=1 + 1e-6j))
+
+    def test_g2_check_follows_tol_scale(self):
+        inv = LocalInvariants(g1=0j, g2=1 + 1e-6j)
+        set_tol_scale(1000)
+        try:
+            assert abc_from_invariants(inv).c == 1.0
+        finally:
+            set_tol_scale(1.0)
+        with pytest.raises(NonRealG2):
+            abc_from_invariants(inv)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ from spinpair.mintime import (
     solve_depressed,
 )
 
-from conftest import EDGE_VALUES, haar_unitary, random_local, weyl_gate
+from conftest import EDGE_VALUES, bench_module, haar_unitary, random_local, weyl_gate
 
 
 class TestCubicCoefficients:
@@ -281,6 +281,24 @@ class TestResidualToleranceScale:
                 continue
             accepted += 1
         assert accepted >= count // 10
+
+    def test_g2_check_follows_the_scale(self, scaled):
+        # Benchmark edge gates plus 3e-8 real Gaussian noise: with the G2
+        # check left at 1e-8, 229 of the 342 gates the scaled unitarity check
+        # accepts raised NonRealG2.
+        scaled(1000)
+        rng = np.random.default_rng(0)
+        accepted, worst = 0, 0.0
+        for gate in bench_module("gen").boundary_gates(1, 400):
+            u = gate.matrix + 3e-8 * rng.standard_normal((4, 4))
+            try:
+                report = min_time(u, 1.0)
+            except NonUnitary:
+                continue
+            accepted += 1
+            worst = max(worst, max(abs(a - b) for a, b in zip(report.coords.as_tuple(), gate.truth)))
+        assert accepted >= 300
+        assert worst < 1e-6
 
 
 def _boundary_sample(rng, count, edge_prob=0.5, mirror_prob=0.3):

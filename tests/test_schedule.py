@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -12,7 +13,6 @@ from spinpair.schedule import (
     GateSpec,
     PulseSegment,
     Schedule,
-    cnot_schedule,
     euler_xyx,
     load_schedule,
     save_schedule,
@@ -59,14 +59,14 @@ class TestEulerXYX:
 
 class TestCnotSchedule:
     def test_five_segments(self):
-        s = cnot_schedule(1.0, 1000.0)
+        s = synthesize(GateSpec.cnot(), 1.0, 1000.0)
         assert len(s.segments) == 5
         assert s.declared_drift_time == 0.5
         assert s.wall_time == pytest.approx(4 / 1000 + 0.5)
 
     def test_segment_table(self):
         n = 1000.0
-        s = cnot_schedule(1.0, n)
+        s = synthesize(GateSpec.cnot(), 1.0, n)
         got = [(seg.duration, seg.amplitudes.as_tuple()) for seg in s.segments]
         want = [
             (1 / n, (0.0, n / 2, 0.0, n / 4)),
@@ -78,14 +78,14 @@ class TestCnotSchedule:
         assert got == want
 
     def test_drift_segment_is_half_period(self):
-        s = cnot_schedule(2.5, 1000.0)
+        s = synthesize(GateSpec.cnot(), 2.5, 1000.0)
         drift = [seg for seg in s.segments if seg.amplitudes.is_zero]
         assert len(drift) == 1
         assert drift[0].duration == 1 / (2 * 2.5)
 
     def test_hard_pulse_regime_enforced(self):
         with pytest.raises(HardPulseRegimeViolated):
-            cnot_schedule(1.0, 5.0)
+            synthesize(GateSpec.cnot(), 1.0, 5.0)
 
 
 class TestSynthesize:
@@ -155,6 +155,60 @@ class TestSynthesize:
             synthesize(GateSpec.swap(), 1.0, 9.9)
 
 
+NAMED = [GateSpec.cnot(), GateSpec.swap(), GateSpec.sqrt_swap()]
+
+
+class TestDriftTime:
+    """The drift time is read from the free-drift segments, for synthesized
+    and loaded schedules alike."""
+
+    def test_small_coupling_swap(self):
+        j = 0.00010080936409388592
+        s = synthesize(GateSpec.swap(), j, 1.0)
+        windows = [seg.duration for seg in s.segments if seg.amplitudes.is_zero]
+        assert windows == [1 / (2 * j)] * 3
+        assert s.declared_drift_time == sum(windows)
+
+    @pytest.mark.parametrize("spec", NAMED, ids=lambda s: s.name)
+    def test_log_spaced_couplings(self, spec):
+        # About 4% of these couplings made the three SWAP windows miss 3/(2J)
+        # by more than an absolute 1e-12.
+        for j in np.geomspace(1e-4, 1e-2, 2000):
+            s = synthesize(spec, float(j), 1.0)
+            want = min_time(spec.unitary(), float(j)).t_star
+            assert s.declared_drift_time == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("spec", NAMED, ids=lambda s: s.name)
+    def test_round_trip_keeps_drift_time(self, spec):
+        for j in np.geomspace(1e-4, 1e4, 400):
+            s = synthesize(spec, float(j), 10 * float(j))
+            again = Schedule.from_dict(json.loads(json.dumps(s.to_dict())))
+            assert again.declared_drift_time == s.declared_drift_time
+
+    def test_not_a_constructor_argument(self):
+        seg = PulseSegment(1.0, ControlAmplitudes(0, 0, 0, 0))
+        with pytest.raises(TypeError):
+            Schedule((seg,), 1.0, 100.0, GateSpec.cnot(), declared_drift_time=1.0)
+
+
+class TestDriftRule:
+    """A segment is free drift iff all four amplitudes are exactly 0.0
+    (with propagation: tests/test_simulate.py::TestSkippedWork)."""
+
+    @pytest.mark.parametrize(
+        "v,drift",
+        [
+            ((0.0, 0.0, 0.0, 0.0), True),
+            ((-0.0, 0.0, 0.0, -0.0), True),
+            ((1e-16, 0.0, 0.0, 0.0), False),
+            ((0.0, 0.0, 0.0, -5e-324), False),
+            ((float("nan"), 0.0, 0.0, 0.0), False),
+        ],
+    )
+    def test_is_zero(self, v, drift):
+        assert ControlAmplitudes(*v).is_zero is drift
+
+
 class TestGateSpec:
     def test_custom_requires_unitary(self):
         with pytest.raises(Exception):
@@ -194,6 +248,24 @@ class TestScheduleFile:
             assert a.duration == b.duration
             assert a.amplitudes.as_tuple() == b.amplitudes.as_tuple()
 
+    # The file bytes of the named gates' schedules (pure IEEE arithmetic, so
+    # portable across machines).
+    GOLDEN_SHA256 = {
+        ("cnot", 1.0, 1000.0): "f64466f44b322f552c63ae12c516c7ae84dbc68244be14cf1fa8be76ad0224c6",
+        ("cnot", 2.0, 1e4): "69a0652c0336f6b41f448e1046580494599acd1cb6458bff129361a9d053fe51",
+        ("swap", 1.0, 1000.0): "bf3821d087257dc8d2be1537363763475434b94f133867b775b89fff518eea6e",
+        ("swap", 2.0, 1e4): "e8d63f41b933a5138d6432c03a7c78ad3ba607e5f44f2ffbb47f40f727a34d3f",
+        ("sqrtswap", 1.0, 1000.0): "3e88768f9ae111b69bf4a70f9e2c6c285d69d85976dbb0d89b541c0375f645d7",
+        ("sqrtswap", 2.0, 1e4): "cea2fe0b32d8388578b1855b8e3be4245dad09eb8dbeacf6c01d245ba79f6004",
+    }
+
+    @pytest.mark.parametrize("key", list(GOLDEN_SHA256), ids=lambda k: "%s-%g-%g" % k)
+    def test_golden_bytes(self, tmp_path, key):
+        name, j, n = key
+        path = tmp_path / "s.sched"
+        save_schedule(synthesize(GateSpec(name=name), j, n), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_SHA256[key]
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.sched"
         path.write_text("not json")
@@ -211,14 +283,3 @@ class TestValidation:
     def test_segment_duration_positive(self):
         with pytest.raises(ValueError):
             PulseSegment(0.0, ControlAmplitudes(0, 0, 0, 0))
-
-    def test_declared_drift_checked(self):
-        seg = PulseSegment(1.0, ControlAmplitudes(0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            Schedule(
-                segments=(seg,),
-                coupling_j=1.0,
-                pulse_strength_n=100.0,
-                target=GateSpec.cnot(),
-                declared_drift_time=0.25,
-            )

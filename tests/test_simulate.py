@@ -12,7 +12,6 @@ from spinpair.schedule import (
     GateSpec,
     PulseSegment,
     Schedule,
-    cnot_schedule,
     load_schedule,
     synthesize,
 )
@@ -34,7 +33,6 @@ def empty_schedule():
         coupling_j=1.0,
         pulse_strength_n=100.0,
         target=GateSpec.custom(IDENTITY4),
-        declared_drift_time=0.0,
     )
 
 
@@ -44,7 +42,6 @@ def drift_only(duration, j=1.0):
         coupling_j=j,
         pulse_strength_n=100.0,
         target=GateSpec.custom(IDENTITY4),
-        declared_drift_time=duration,
     )
 
 
@@ -117,14 +114,13 @@ class TestEvolve:
         assert max_norm(u.conj().T @ u - np.eye(4)) < 1e-12
 
     def test_composition(self):
-        s1 = cnot_schedule(1.0, 100.0)
+        s1 = synthesize(GateSpec.cnot(), 1.0, 100.0)
         s2 = synthesize(GateSpec.swap(), 1.0, 100.0)
         combined = Schedule(
             segments=s1.segments + s2.segments,
             coupling_j=1.0,
             pulse_strength_n=100.0,
             target=GateSpec.swap(),
-            declared_drift_time=s1.declared_drift_time + s2.declared_drift_time,
         )
         assert max_norm(evolve(combined) - evolve(s2) @ evolve(s1)) < 1e-10
 
@@ -149,7 +145,7 @@ class TestFidelity:
 
 class TestVerify:
     def test_cnot_thresholds(self):
-        r = verify(cnot_schedule(1.0, 1000.0), CNOT)
+        r = verify(synthesize(GateSpec.cnot(), 1.0, 1000.0), CNOT)
         assert r.fidelity >= 0.999
         assert r.drift_time == 0.5
         assert r.wall_time == pytest.approx(0.504)
@@ -165,16 +161,16 @@ class TestVerify:
         assert r.wall_time == 0.0
 
     def test_cross_gate_fails(self):
-        r = verify(cnot_schedule(1.0, 1000.0), SWAP)
+        r = verify(synthesize(GateSpec.cnot(), 1.0, 1000.0), SWAP)
         assert r.fidelity < 0.9
 
     def test_relative_phase_reported(self):
         # the CNOT pulse product realizes e^{i pi/4} CNOT in the strong limit
-        r = verify(cnot_schedule(1.0, 10000.0), CNOT)
+        r = verify(synthesize(GateSpec.cnot(), 1.0, 10000.0), CNOT)
         assert r.relative_phase == pytest.approx(np.pi / 4, abs=1e-3)
 
     def test_batch_order(self):
-        schedules = [cnot_schedule(1.0, 1000.0), synthesize(GateSpec.swap(), 1.0, 1000.0)]
+        schedules = [synthesize(GateSpec.cnot(), 1.0, 1000.0), synthesize(GateSpec.swap(), 1.0, 1000.0)]
         targets = [CNOT, SWAP]
         reports = batch_verify(schedules, targets)
         assert [r.drift_time for r in reports] == [0.5, 1.5]
@@ -187,9 +183,9 @@ class TestInfidelityScaling:
         # fit the constant at N = 100 J, then bound the larger-N runs
         j = 1.0
         fit_n = 100.0
-        c = (1 - verify(cnot_schedule(j, fit_n), CNOT).fidelity) * fit_n / j
+        c = (1 - verify(synthesize(GateSpec.cnot(), j, fit_n), CNOT).fidelity) * fit_n / j
         for n in (1000.0, 10000.0):
-            infidelity = 1 - verify(cnot_schedule(j, n), CNOT).fidelity
+            infidelity = 1 - verify(synthesize(GateSpec.cnot(), j, n), CNOT).fidelity
             assert infidelity <= c * (j / n)
 
     @pytest.mark.parametrize(
@@ -232,7 +228,7 @@ class TestBatchVerify:
             assert max_norm(report.u_final - want) <= 1e-12
 
     def test_length_mismatch_raises(self):
-        s = cnot_schedule(1.0, 1000.0)
+        s = synthesize(GateSpec.cnot(), 1.0, 1000.0)
         with pytest.raises(ValueError, match="3 schedules and 1 targets"):
             batch_verify([s, s, s], [CNOT])
         with pytest.raises(ValueError):
@@ -242,7 +238,7 @@ class TestBatchVerify:
         assert batch_verify([], []) == []
 
     def test_non_unitary_target_raises(self):
-        s = cnot_schedule(1.0, 1000.0)
+        s = synthesize(GateSpec.cnot(), 1.0, 1000.0)
         with pytest.raises(NonUnitary, match=r"stack index \[1\]"):
             batch_verify([s, s, s], [CNOT, 1.01 * CNOT, CNOT])
 
@@ -252,7 +248,7 @@ class TestInvalidInput:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_amplitude_is_non_hermitian(self, tmp_path, bad):
         v0 = [0.0, bad, 0.0, 0.0]
-        path = write_schedule(tmp_path / "bad.sched", cnot_schedule(1.0, 1000.0), v0)
+        path = write_schedule(tmp_path / "bad.sched", synthesize(GateSpec.cnot(), 1.0, 1000.0), v0)
         schedule = load_schedule(path)
         with pytest.raises(NonHermitian, match="NaN or Inf"):
             evolve(schedule)
@@ -260,10 +256,8 @@ class TestInvalidInput:
             verify(schedule, CNOT)
 
     def test_nan_coupling_pulsed(self):
-        s = cnot_schedule(1.0, 1000.0)
-        bad = Schedule(
-            s.segments, float("nan"), s.pulse_strength_n, s.target, s.declared_drift_time
-        )
+        s = synthesize(GateSpec.cnot(), 1.0, 1000.0)
+        bad = Schedule(s.segments, float("nan"), s.pulse_strength_n, s.target)
         with pytest.raises(NonHermitian):
             evolve(bad)
 
@@ -273,7 +267,7 @@ class TestInvalidInput:
             evolve(drift_only(0.5, j=float("nan")))
 
     def test_one_bad_schedule_fails_the_batch(self):
-        good = cnot_schedule(1.0, 1000.0)
+        good = synthesize(GateSpec.cnot(), 1.0, 1000.0)
         with pytest.raises(NonUnitary, match=r"stack index \[1\]"):
             batch_verify([good, drift_only(0.5, j=float("nan"))], [CNOT, IDENTITY4])
 
@@ -297,6 +291,18 @@ class TestSkippedWork:
         eigh_calls.clear()  # synthesis itself diagonalizes
         batch_verify([s for s, _ in items], [t for _, t in items])
         assert len(eigh_calls) == 1  # every batch here has pulsed segments
+
+    @pytest.mark.parametrize(
+        "v0,pulsed", [(1e-16, True), (-0.0, False)], ids=["tiny-amplitude", "minus-zero"]
+    )
+    def test_drift_rule_matches_drift_time(self, eigh_calls, v0, pulsed):
+        # The segment that propagation diagonalizes is the one the drift
+        # time leaves out, and vice versa.
+        segment = PulseSegment(0.5, ControlAmplitudes(v0, 0.0, 0.0, 0.0))
+        s = Schedule((segment,), 1.0, 100.0, GateSpec.custom(IDENTITY4))
+        evolve(s)
+        assert eigh_calls == ([(1, 4, 4)] if pulsed else [])
+        assert s.declared_drift_time == (0.0 if pulsed else 0.5)
 
     def test_drift_only_needs_no_eigh(self, eigh_calls):
         evolve(drift_only(0.5))
