@@ -303,15 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    scaled = getattr(args, "tol_scale", 1.0) != 1.0
     try:
         try:
-            if scaled:
-                set_tol_scale(args.tol_scale)
+            set_tol_scale(args.tol_scale)
             return args.func(args)
         finally:
-            if scaled:
-                set_tol_scale(1.0)
+            set_tol_scale(1.0)
     except _PIPELINE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE

@@ -1,33 +1,28 @@
-"""Global numerical tolerances.
+"""The one scaled tolerance: acceptance of user-supplied matrices.
 
-Construction checks (unitarity, Hermiticity) default to 1e-10 and
-user-supplied matrix input to 1e-8.  Both can be scaled together, which is
-what the CLI's --tol-scale flag does; ``scaled`` applies the same factor to a
-module's own tolerance on checks that input accepted at the looser scale
-would otherwise fail (the cubic residual, the G2 reality check).
+A custom matrix (``GateSpec.custom``: CLI ``--matrix`` input and custom
+targets in schedule files) is accepted when ||U†U - I||_max is within
+``input_tolerance()`` = 1e-8 times the scale, and is then snapped to the
+nearest unitary.  ``set_tol_scale`` (CLI ``--tol-scale``) sets that scale.
+Every later check sees an exactly unitary matrix and holds a fixed constant
+of its own module.
 """
 
-from dataclasses import dataclass
+import math
 
+INPUT_TOL = 1e-8
 
-@dataclass
-class Tolerances:
-    construction: float = 1e-10
-    input_unitarity: float = 1e-8
-
-
-tolerances = Tolerances()
+_scale = 1.0
 
 
 def set_tol_scale(factor: float) -> None:
-    """Reset all tolerances to their defaults scaled by ``factor``."""
-    if factor <= 0:
-        raise ValueError("tolerance scale must be positive")
-    defaults = Tolerances()
-    tolerances.construction = defaults.construction * factor
-    tolerances.input_unitarity = defaults.input_unitarity * factor
+    """Scale the custom-matrix input tolerance by ``factor`` (finite, > 0)."""
+    global _scale
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError(f"tolerance scale must be finite and positive, got {factor}")
+    _scale = float(factor)
 
 
-def scaled(base: float) -> float:
-    """``base`` times the current tolerance scale, read at call time."""
-    return base * (tolerances.input_unitarity / Tolerances.input_unitarity)
+def input_tolerance() -> float:
+    """Unitarity tolerance for custom-matrix input, read at call time."""
+    return INPUT_TOL * _scale

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import scaled
 from .errors import NonRealG2
 from .linalg import unitary4
 
@@ -78,7 +77,11 @@ class ABCTriple:
 
 
 def magic_transform(u) -> np.ndarray:
-    """Rewrite a two-qubit unitary in the magic basis: U_B = O† U O."""
+    """Rewrite a two-qubit unitary in the magic basis: U_B = O† U O.
+
+    ``u`` must be unitary within 1e-10 (``NonUnitary`` otherwise); pass a
+    rounded or measured matrix through ``GateSpec.custom(u).unitary()``.
+    """
     u = unitary4(u)
     return MAGIC_DAG @ u @ MAGIC
 
@@ -105,7 +108,7 @@ def _invariants_of(m, det) -> LocalInvariants:
 
 
 def local_invariants(u) -> LocalInvariants:
-    """Compute (G1, G2) for a two-qubit unitary."""
+    """(G1, G2) of a two-qubit unitary, within 1e-10 (see ``magic_transform``)."""
     return _invariants_of(*_magic_system(u))
 
 
@@ -135,13 +138,10 @@ def abc_from_invariants(inv: LocalInvariants) -> ABCTriple:
     """Split (G1, G2) into the real triple (a, b, c).
 
     Raises:
-        NonRealG2: if |Im G2| exceeds 1e-8 (times the tolerance scale, since
-            input accepted at a looser scale carries its defect into G2),
-            which no unitary input produces.
+        NonRealG2: if |Im G2| exceeds 1e-8, which no unitary input produces.
     """
-    tol = scaled(G2_IMAG_TOL)
-    if abs(inv.g2.imag) > tol:
-        raise NonRealG2(f"|Im G2| = {abs(inv.g2.imag):.3e} exceeds {tol:.0e}")
+    if abs(inv.g2.imag) > G2_IMAG_TOL:
+        raise NonRealG2(f"|Im G2| = {abs(inv.g2.imag):.3e} exceeds {G2_IMAG_TOL:.0e}")
     return ABCTriple(a=inv.g1.real, b=inv.g1.imag, c=inv.g2.real)
 
 

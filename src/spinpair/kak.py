@@ -88,7 +88,7 @@ def interaction_unitary(c1: float, c2: float, c3: float) -> np.ndarray:
     return (MAGIC * np.exp(1j * phases)) @ MAGIC_DAG
 
 
-def factor_local(k, tol: float = LOCAL_RANK_TOL) -> LocalGate:
+def factor_local(k) -> LocalGate:
     """Split k = e^{i phi} (A (x) B) into its single-qubit factors.
 
     The reshuffled matrix M[2i+j, 2k+l] = k[2i+k, 2j+l] is rank one exactly
@@ -98,13 +98,13 @@ def factor_local(k, tol: float = LOCAL_RANK_TOL) -> LocalGate:
 
     Raises:
         NotLocal: if the second singular value of the reshuffle exceeds
-            ``tol`` (the gate is entangling).
+            1e-8 (the gate is entangling).
     """
-    a, b, phase = _factor_locals(k, tol)
+    a, b, phase = _factor_locals(k)
     return LocalGate(a=a, b=b, phase=float(phase))
 
 
-def _factor_locals(k, tol: float = LOCAL_RANK_TOL):
+def _factor_locals(k):
     """``factor_local`` over a stack (..., 4, 4): one unitarity check and one
     SVD for all matrices.  Returns the stacks a, b (..., 2, 2) and phase (...)."""
     k = unitary4(k, tol=1e-8)
@@ -114,9 +114,9 @@ def _factor_locals(k, tol: float = LOCAL_RANK_TOL):
     m = k.reshape(n, 2, 2, 2, 2).swapaxes(2, 3).reshape(n, 4, 4)
     u, s, vh = np.linalg.svd(m)
     for s1 in s[:, 1].tolist():
-        if s1 > tol:
+        if s1 > LOCAL_RANK_TOL:
             raise NotLocal(
-                f"second singular value of the reshuffle is {s1:.3e} > {tol:.0e}"
+                f"second singular value of the reshuffle is {s1:.3e} > {LOCAL_RANK_TOL:.0e}"
             )
     scale = np.sqrt(s[:, :1])
     a = (u[:, :, 0] * scale).reshape(n, 2, 2)
@@ -199,7 +199,7 @@ _SWAPPERS = (
 )
 
 
-def _canonicalize(c, atol: float = 1e-14):
+def _canonicalize(c):
     """Move a raw coordinate vector into the canonical region.
 
     Returns (coords, phase, left pair, right pair) such that
@@ -207,7 +207,7 @@ def _canonicalize(c, atol: float = 1e-14):
         C(c) = phase * (l1 (x) l2) C(coords) (r1 (x) r2)
 
     with pi/2 >= coords[0] >= coords[1] >= |coords[2]|, and coords[2] >= 0
-    whenever coords[0] is within ``atol`` (roundoff) of the pi/2 boundary.
+    whenever coords[0] is within 1e-14 (roundoff) of the pi/2 boundary.
     """
     v = list(c)
     phase = [1.0 + 0j]
@@ -261,7 +261,7 @@ def _canonicalize(c, atol: float = 1e-14):
     # The move maps c1 = pi/2 - d to pi/2 + d, so it is taken only where d is
     # roundoff: any wider band would push c1 out of the chamber and lengthen
     # the drift c1 + c2 + |c3| by 2d.
-    if v[0] > np.pi / 2 - atol and v[2] < 0:
+    if v[0] > np.pi / 2 - 1e-14 and v[2] < 0:
         shift(0, -1)
         negate(0, 2)
 
@@ -271,6 +271,9 @@ def _canonicalize(c, atol: float = 1e-14):
 
 def kak_decompose(u) -> KakDecomposition:
     """Full Cartan decomposition with canonicalized interaction coordinates.
+
+    ``u`` must be unitary within 1e-10 (``NonUnitary`` otherwise); pass a
+    rounded or measured matrix through ``GateSpec.custom(u).unitary()``.
 
     Raises:
         ReconstructionFailed: if the assembled decomposition misses the input

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import tolerances
 from .errors import NonHermitian, NonUnitary
 
 I2 = np.eye(2, dtype=complex)
@@ -30,6 +29,8 @@ YY = PAULI_PRODUCTS[("y", "y")]
 ZZ = PAULI_PRODUCTS[("z", "z")]
 
 _EYE4 = np.eye(4)
+
+CONSTRUCTION_TOL = 1e-10  # user-supplied matrices are admitted by GateSpec.custom
 
 
 def max_norm(m) -> float:
@@ -61,7 +62,7 @@ def _named(first: tuple[int, ...], message: str) -> str:
     return f"{message} (stack index {list(first)})" if first else message
 
 
-def _validated(m, error, defect_of, label: str, tol: float | None) -> np.ndarray:
+def _validated(m, error, defect_of, label: str, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
     """Shape, finiteness and ``||defect_of(m)||_max <= tol`` check shared by
     unitary4 and hermitian4, matrix by matrix over a stack."""
     a = np.asarray(m, dtype=complex)
@@ -70,8 +71,6 @@ def _validated(m, error, defect_of, label: str, tol: float | None) -> np.ndarray
     if not np.isfinite(a).all():
         first = _first(~np.isfinite(a).all(axis=(-2, -1)))
         raise error(_named(first, "matrix contains NaN or Inf entries"))
-    if tol is None:
-        tol = tolerances.construction
     defect = np.abs(defect_of(a))
     if defect.max(initial=0.0) > tol:
         per_matrix = defect.max(axis=(-2, -1))
@@ -84,22 +83,21 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-2, -1)
 
 
-def unitary4(m, tol: float | None = None) -> np.ndarray:
+def unitary4(m, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
     """Validate and return a 4x4 unitary, or a stack (..., 4, 4) of them.
 
     Raises:
-        NonUnitary: if ||U†U - I||_max exceeds ``tol`` (default: the global
-            construction tolerance); for a stack, the first failing matrix
-            is named by its index.
+        NonUnitary: if ||U†U - I||_max exceeds ``tol`` (default 1e-10); for
+            a stack, the first failing matrix is named by its index.
     """
     return _validated(
         m, NonUnitary, lambda u: _adjoint(u) @ u - _EYE4, "||U†U - I||_max", tol
     )
 
 
-def hermitian4(m, tol: float | None = None) -> np.ndarray:
+def hermitian4(m) -> np.ndarray:
     """Validate and return a 4x4 Hermitian matrix, or a stack (..., 4, 4)."""
-    return _validated(m, NonHermitian, lambda h: h - _adjoint(h), "||H - H†||_max", tol)
+    return _validated(m, NonHermitian, lambda h: h - _adjoint(h), "||H - H†||_max")
 
 
 def expm_hermitian(h, t: float | np.ndarray) -> np.ndarray:
@@ -120,7 +118,7 @@ def expm_hermitian(h, t: float | np.ndarray) -> np.ndarray:
 def expm2_hermitian(h, t: float) -> np.ndarray:
     """exp(-i t H) for a 2x2 Hermitian H (spectral, same contract as 4x4)."""
     h = np.asarray(h, dtype=complex)
-    if max_norm(h - h.conj().T) > tolerances.construction:
+    if max_norm(h - h.conj().T) > CONSTRUCTION_TOL:
         raise NonHermitian("2x2 matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import scaled
 from .errors import NonPositiveCoupling, PositiveDiscriminant, ResidualTooLarge
 from .invariants import (
     ABCTriple,
@@ -53,7 +52,7 @@ DISCRIMINANT_TOL = 1e-9  # above this the input cannot come from a unitary
 # cubics whose roots are merely clustered (small P and Q shrink the
 # discriminant without any true double root).
 DEGENERATE_REL_TOL = 1e-9
-ROOT_RESIDUAL_TOL = 1e-8  # at tolerance scale 1; see _root_residual_tol
+ROOT_RESIDUAL_TOL = 1e-8
 ROOT_RANGE_SLACK = 1e-9  # roots may leave [0, 1] by at most this before clamping
 ROOT_SNAP = 1e-15  # roots this close to 0 or 1 are exactly 0 or 1
 COORD_SNAP = 1e-14  # spectral coordinates below this are exactly 0
@@ -183,14 +182,6 @@ def depress(coeffs: CubicCoefficients) -> DepressedCubic:
     )
 
 
-def _root_residual_tol() -> float:
-    """ROOT_RESIDUAL_TOL at the current tolerance scale (``set_tol_scale``,
-    CLI ``--tol-scale``): input accepted as unitary only to a looser
-    tolerance carries its defect into both the roots and the coefficients,
-    so the residual they are held to scales with it."""
-    return scaled(ROOT_RESIDUAL_TOL)
-
-
 def _monic_value(coeffs: CubicCoefficients, x: float) -> float:
     return ((x + coeffs.p) * x + coeffs.q) * x + coeffs.r
 
@@ -267,7 +258,7 @@ def solve_depressed(dc: DepressedCubic) -> CubicRoots:
 
     Raises:
         ResidualTooLarge: if any root leaves [0, 1] by more than 1e-9 or its
-            polynomial residual exceeds 1e-8 (times the tolerance scale).
+            polynomial residual exceeds 1e-8.
     """
     if dc.t is None:
         cr = float(np.cbrt(dc.q / 2))
@@ -282,14 +273,15 @@ def solve_depressed(dc: DepressedCubic) -> CubicRoots:
     candidates = [_polish(dc.monic, big_x + dc.shift) for big_x in big_roots]
     candidates = _refine_close_pair(dc.monic, candidates)
 
-    tol = _root_residual_tol()
     roots = []
     for x in candidates:
         if x < -ROOT_RANGE_SLACK or x > 1 + ROOT_RANGE_SLACK:
             raise ResidualTooLarge(f"root {x!r} leaves [0, 1] beyond slack")
         residual = abs(_monic_value(dc.monic, x))
-        if residual > tol:
-            raise ResidualTooLarge(f"root {x!r} has residual {residual:.3e} > {tol:.0e}")
+        if residual > ROOT_RESIDUAL_TOL:
+            raise ResidualTooLarge(
+                f"root {x!r} has residual {residual:.3e} > {ROOT_RESIDUAL_TOL:.0e}"
+            )
         x = min(max(x, 0.0), 1.0)
         # arcsin(sqrt(x)) amplifies absolute root error near the endpoints, so
         # values within one part in 1e15 of 0 or 1 are taken exactly.
@@ -336,18 +328,17 @@ def _check_against_cubic(coords: CanonicalCoordinates, abc: ABCTriple) -> None:
 
     Raises:
         PositiveDiscriminant: if the triple cannot come from a unitary.
-        ResidualTooLarge: if either test misses by more than 1e-8 (times
-            the tolerance scale).
+        ResidualTooLarge: if either test misses by more than 1e-8.
     """
     coeffs = cubic_coefficients(abc)
     depress(coeffs)
-    tol = _root_residual_tol()
     xs = [math.sin(c) ** 2 for c in coords.as_tuple()]
     for c, x in zip(coords.as_tuple(), xs):
         residual = abs(_monic_value(coeffs, x))
-        if residual > tol:
+        if residual > ROOT_RESIDUAL_TOL:
             raise ResidualTooLarge(
-                f"sin^2 of coordinate {c!r} has cubic residual {residual:.3e} > {tol:.0e}"
+                f"sin^2 of coordinate {c!r} has cubic residual "
+                f"{residual:.3e} > {ROOT_RESIDUAL_TOL:.0e}"
             )
     x1, x2, x3 = xs
     mismatch = max(
@@ -355,10 +346,10 @@ def _check_against_cubic(coords: CanonicalCoordinates, abc: ABCTriple) -> None:
         abs(x1 * x2 + x1 * x3 + x2 * x3 - coeffs.q),
         abs(x1 * x2 * x3 + coeffs.r),
     )
-    if mismatch > tol:
+    if mismatch > ROOT_RESIDUAL_TOL:
         raise ResidualTooLarge(
             f"sin^2 of the coordinates miss the cubic's symmetric functions "
-            f"by {mismatch:.3e} > {tol:.0e}"
+            f"by {mismatch:.3e} > {ROOT_RESIDUAL_TOL:.0e}"
         )
 
 
@@ -371,22 +362,30 @@ def _analyze(u) -> tuple[CanonicalCoordinates, LocalInvariants, ABCTriple]:
     return coords, inv, abc
 
 
+def require_coupling(coupling_j: float) -> None:
+    """Raise ``NonPositiveCoupling`` unless J is finite and positive."""
+    if not (math.isfinite(coupling_j) and coupling_j > 0):
+        raise NonPositiveCoupling(f"coupling J must be finite and positive, got {coupling_j}")
+
+
 def canonical_coords(u) -> CanonicalCoordinates:
-    """Canonical coordinates of a two-qubit unitary, from the eigenphases of
-    m(U) and checked against the cubic."""
+    """Canonical coordinates of a two-qubit unitary (within 1e-10, see
+    ``magic_transform``), from the eigenphases of m(U), checked against the cubic."""
     return _analyze(u)[0]
 
 
 def min_time(u, coupling_j: float) -> MinTimeReport:
     """Minimal time t* = (c1 + c2 + c3)/(pi J) to realize ``u``.
 
+    ``u`` must be unitary within 1e-10 (``NonUnitary`` otherwise); pass a
+    rounded or measured matrix through ``GateSpec.custom(u).unitary()``.
+
     Raises:
-        NonPositiveCoupling: if coupling_j <= 0.
+        NonPositiveCoupling: if coupling_j is not finite and positive.
         NonRealG2, PositiveDiscriminant, ResidualTooLarge: if the invariants
             are not those of a unitary or the coordinates miss the cubic.
     """
-    if coupling_j <= 0:
-        raise NonPositiveCoupling(f"coupling J must be positive, got {coupling_j}")
+    require_coupling(coupling_j)
     coords, inv, abc = _analyze(u)
     t_star = coords.total / (np.pi * coupling_j)
     return MinTimeReport(

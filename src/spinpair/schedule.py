@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import tolerances
+from .config import input_tolerance
 from .errors import HardPulseRegimeViolated, ScheduleFormatError
 from .gates import CNOT, SQRT_SWAP, SWAP, controlled_u
 from .kak import LocalGate, kak_decompose
 from .linalg import max_norm, unitary4
+from .mintime import require_coupling
 
 COORD_SKIP = 1e-12  # interaction coordinates below this emit no segment
 
@@ -70,7 +71,12 @@ class PulseSegment:
 
 @dataclass(frozen=True, eq=False)
 class GateSpec:
-    """Target gate: a named library gate, a controlled-U, or a custom matrix."""
+    """Target gate: a named library gate, a controlled-U, or a custom matrix.
+
+    A custom matrix is the one input checked at the scaled tolerance
+    (``config.input_tolerance()``, 1e-8 times --tol-scale) and is then
+    snapped to the nearest unitary; rounded or measured matrices enter here.
+    """
 
     name: str
     gamma: tuple[float, float, float] | None = None
@@ -81,15 +87,13 @@ class GateSpec:
     def __post_init__(self):
         if self.name not in self._NAMES:
             raise ValueError(f"unknown gate name {self.name!r}")
-        if self.name == "cu" and self.gamma is None:
-            raise ValueError("controlled-U requires gamma parameters")
+        if self.name == "cu" and (self.gamma is None or not np.isfinite(self.gamma).all()):
+            raise ValueError(f"controlled-U requires finite gamma parameters, got {self.gamma}")
         if self.name == "custom":
             if self.matrix is None:
                 raise ValueError("custom gate requires a matrix")
-            m = unitary4(self.matrix, tol=tolerances.input_unitarity)
-            # Accepted input may sit up to the input tolerance away from the
-            # unitary group; snap it to the nearest unitary (polar projection)
-            # so the strict internal invariants hold downstream.
+            m = unitary4(self.matrix, tol=input_tolerance())
+            # Snap to the nearest unitary (polar projection).
             u, _, vh = np.linalg.svd(m)
             object.__setattr__(self, "matrix", u @ vh)
 
@@ -302,8 +306,6 @@ def _local_stages(k: LocalGate, n: float) -> list[PulseSegment]:
 
 
 def _require_hard_pulse(coupling_j: float, pulse_strength_n: float) -> None:
-    if coupling_j <= 0:
-        raise HardPulseRegimeViolated(f"coupling J must be positive, got {coupling_j}")
     if pulse_strength_n < 10 * coupling_j:
         raise HardPulseRegimeViolated(
             f"pulse strength N = {pulse_strength_n} below hard-pulse threshold "
@@ -383,6 +385,7 @@ def synthesize(spec: GateSpec, coupling_j: float, pulse_strength_n: float) -> Sc
     The total duration of the zero-amplitude (free drift) segments equals the
     analytic minimal time of the gate; all pulse segments shrink as 1/N.
     """
+    require_coupling(coupling_j)
     _require_hard_pulse(coupling_j, pulse_strength_n)
     n = float(pulse_strength_n)
     if spec.name == "cnot":

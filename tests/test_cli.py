@@ -243,7 +243,8 @@ class TestTolScale:
 
     def test_mintime_of_a_perturbed_edge_gate(self, capsys, tmp_path):
         # An edge gate off the unitary group by about 6e-8, accepted under
-        # --tol-scale 1000; the cubic check is held to the scaled tolerance.
+        # --tol-scale 1000 and snapped to the nearest unitary; the cubic
+        # check keeps its fixed tolerance.
         from conftest import weyl_gate
 
         rng = np.random.default_rng(5)
@@ -259,6 +260,80 @@ class TestTolScale:
         assert [coords["c1"], coords["c2"], coords["c3"]] == pytest.approx(
             [np.pi / 2, 0.79, np.pi / 4], abs=1e-6
         )
+
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_invalid_scale_exits_2(self, capsys, tmp_path, scale):
+        # ||M†M - I|| = 24: a non-finite scale must not switch the check off.
+        path = tmp_path / "far.mat"
+        write_matrix(path, 5 * np.eye(4, dtype=complex))
+        code, out, err = run_cli(
+            capsys, "mintime", "--matrix", str(path), "--coupling", "1", f"--tol-scale={scale}"
+        )
+        assert (code, out) == (2, "")
+        assert "tolerance scale" in err
+
+    def test_scale_changes_no_output(self, capsys, tmp_path):
+        # Only the custom-matrix input check reads the scale, and input
+        # that passes it is snapped, so a scale changes nothing for
+        # input that passes at scale 1.
+        from conftest import haar_unitary
+
+        matrix = tmp_path / "haar.mat"
+        write_matrix(matrix, haar_unitary(np.random.default_rng(11)))
+        sched_path = tmp_path / "gate.sched"
+        sched = str(sched_path)
+        gates = [
+            ("--gate", "cnot"),
+            ("--gate", "swap"),
+            ("--gate", "sqrtswap"),
+            ("--gate", "cu", "--gamma1", "0.3", "--gamma2", "-0.2", "--gamma3", "0.7"),
+            ("--matrix", str(matrix)),
+        ]
+        runs = []
+        for gate in gates:
+            for command in (
+                ("invariants", *gate),
+                ("coords", *gate),
+                ("kak", *gate),
+                ("mintime", *gate, "--coupling", "2.5"),
+                ("schedule", *gate, "--coupling", "2.5", "--pulse-strength", "997", "-o", sched),
+                ("simulate", "--schedule", sched),
+                ("verify", "--schedule", sched),
+                ("verify", *gate, "--schedule", sched),
+            ):
+                runs += [(*command, "--output", output) for output in ("text", "json")]
+        for argv in runs:
+            results = []
+            for extra in ((), ("--tol-scale", "1000")):
+                code, out, err = run_cli(capsys, *argv, *extra)
+                blob = sched_path.read_bytes() if argv[0] == "schedule" else None
+                results.append((code, out, err, blob))
+            assert results[0] == results[1], argv
+            assert results[0][0] == 0, argv
+
+
+class TestInvalidScalars:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mintime", "--gate", "cnot", "--coupling", "nan"),
+            ("mintime", "--gate", "cnot", "--coupling", "inf", "--output", "json"),
+            ("schedule", "--gate", "cnot", "--coupling", "0", "--pulse-strength", "1000"),
+            ("schedule", "--gate", "cnot", "--coupling=-1", "--pulse-strength", "1000"),
+            ("kak", "--gate", "cu", "--gamma1", "inf"),
+        ],
+        ids=["mintime-nan-coupling", "mintime-inf-coupling", "schedule-zero-coupling",
+             "schedule-negative-coupling", "kak-inf-gamma"],
+    )
+    def test_exits_2_with_one_error_line(self, capsys, argv):
+        # "error" turns any numpy RuntimeWarning into an exception, which
+        # main() does not catch.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
 
 
 class TestPipelineExitCode:
