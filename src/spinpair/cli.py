@@ -10,13 +10,14 @@ below threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .config import set_tol_scale
+from .config import tol_scale
 from .errors import (
     HardPulseRegimeViolated,
     NonRealG2,
@@ -28,7 +29,14 @@ from .errors import (
 from .invariants import abc_from_invariants, local_invariants
 from .kak import kak_decompose
 from .mintime import canonical_coords, min_time
-from .schedule import GateSpec, load_schedule, save_schedule, synthesize
+from .schedule import (
+    GateSpec,
+    load_schedule,
+    matrix_from_dict,
+    matrix_to_dict,
+    save_schedule,
+    synthesize,
+)
 from .simulate import evolve, verify
 
 EXIT_OK = 0
@@ -47,12 +55,24 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.12g}"  # + 0.0 normalizes -0.0
 
 
-def _print_report(report: dict, as_json: bool) -> None:
-    if as_json:
+def _print_report(report: dict, args) -> None:
+    if args.degrees:
+        report = dict(_in_degrees(key, value) for key, value in report.items())
+    if args.output == "json":
         print(json.dumps(report, indent=2))
         return
     for line in _text_lines("", report):
         print(line)
+
+
+def _in_degrees(key: str, value):
+    """``--degrees``: an angle entry ``*_rad`` (a float or a dict of floats)
+    becomes ``*_deg``; every other entry is left as it is."""
+    if not key.endswith("_rad"):
+        return key, value
+    if isinstance(value, dict):
+        return key[:-4] + "_deg", {k: float(np.degrees(v)) for k, v in value.items()}
+    return key[:-4] + "_deg", float(np.degrees(value))
 
 
 def _text_lines(prefix: str, value):
@@ -75,51 +95,38 @@ def _text_lines(prefix: str, value):
         yield f"{prefix} = {value}"
 
 
-def _matrix_dict(m: np.ndarray) -> dict:
-    return {"re": m.real.tolist(), "im": m.imag.tolist()}
-
-
 def _load_matrix_file(path: str) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             data = json.load(fh)
-        re = np.array(data["re"], dtype=float)
-        im = np.array(data["im"], dtype=float)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ScheduleFormatError(
-            f"matrix file must be JSON with 4x4 're' and 'im' arrays: {exc}"
-        ) from exc
-    if re.shape != (4, 4) or im.shape != (4, 4):
-        raise ScheduleFormatError("matrix file arrays must be 4x4, row-major")
-    return re + 1j * im
+        except json.JSONDecodeError as exc:
+            raise ScheduleFormatError(
+                f"matrix file must be JSON with 4x4 're' and 'im' arrays: {exc}"
+            ) from exc
+    return matrix_from_dict(data)
 
 
-def _gate_from_args(args) -> GateSpec:
+def _gate_from_args(args, fallback: GateSpec | None = None) -> GateSpec:
+    """The gate named by --gate/--gamma1..3 or --matrix; ``fallback`` when
+    neither --gate nor --matrix is given (an error if it is None)."""
+    gammas = (args.gamma1, args.gamma2, args.gamma3)
+    if args.gate is not None and args.matrix is not None:
+        raise ScheduleFormatError("--gate and --matrix are exclusive: give one")
+    if args.gate != "cu" and any(g is not None for g in gammas):
+        raise ScheduleFormatError("--gamma1/--gamma2/--gamma3 need --gate cu")
     if args.matrix is not None:
         return GateSpec.custom(_load_matrix_file(args.matrix))
     if args.gate is None:
-        raise ScheduleFormatError("no gate given: use --gate or --matrix")
+        if fallback is None:
+            raise ScheduleFormatError("no gate given: use --gate or --matrix")
+        return fallback
     if args.gate == "cu":
-        return GateSpec.controlled_u(args.gamma1, args.gamma2, args.gamma3)
+        return GateSpec.controlled_u(*(0.0 if g is None else g for g in gammas))
     return GateSpec(name=args.gate)
 
 
-def _maybe_degrees(value: float, args) -> float:
-    return float(np.degrees(value)) if args.degrees else value
-
-
-def _angle_unit(args) -> str:
-    return "deg" if args.degrees else "rad"
-
-
-def _coords_block(coords, args) -> dict:
-    return {
-        f"coords_{_angle_unit(args)}": {
-            "c1": _maybe_degrees(coords.c1, args),
-            "c2": _maybe_degrees(coords.c2, args),
-            "c3": _maybe_degrees(coords.c3, args),
-        }
-    }
+def _coords_block(coords) -> dict:
+    return {"coords_rad": {"c1": coords.c1, "c2": coords.c2, "c3": coords.c3}}
 
 
 def _invariants_block(inv, abc) -> dict:
@@ -135,7 +142,7 @@ def cmd_invariants(args) -> int:
     inv = local_invariants(gate.unitary())
     report = {"gate": gate.label()}
     report.update(_invariants_block(inv, abc_from_invariants(inv)))
-    _print_report(report, args.output == "json")
+    _print_report(report, args)
     return EXIT_OK
 
 
@@ -144,17 +151,17 @@ def cmd_mintime(args) -> int:
     result = min_time(gate.unitary(), args.coupling)
     report = {"gate": gate.label()}
     report.update(_invariants_block(result.invariants, result.abc))
-    report.update(_coords_block(result.coords, args))
+    report.update(_coords_block(result.coords))
     report["coupling_j_hz"] = result.coupling_j
     report["t_star_seconds"] = result.t_star
-    _print_report(report, args.output == "json")
+    _print_report(report, args)
     return EXIT_OK
 
 
 def cmd_coords(args) -> int:
     gate = _gate_from_args(args)
-    report = {"gate": gate.label(), **_coords_block(canonical_coords(gate.unitary()), args)}
-    _print_report(report, args.output == "json")
+    report = {"gate": gate.label(), **_coords_block(canonical_coords(gate.unitary()))}
+    _print_report(report, args)
     return EXIT_OK
 
 
@@ -163,14 +170,14 @@ def cmd_kak(args) -> int:
     d = kak_decompose(gate.unitary())
     report = {
         "gate": gate.label(),
-        **_coords_block(d.coords, args),
-        f"global_phase_{_angle_unit(args)}": _maybe_degrees(d.global_phase, args),
-        "k1_a": _matrix_dict(d.k1.a),
-        "k1_b": _matrix_dict(d.k1.b),
-        "k2_a": _matrix_dict(d.k2.a),
-        "k2_b": _matrix_dict(d.k2.b),
+        **_coords_block(d.coords),
+        "global_phase_rad": d.global_phase,
+        "k1_a": matrix_to_dict(d.k1.a),
+        "k1_b": matrix_to_dict(d.k1.b),
+        "k2_a": matrix_to_dict(d.k2.a),
+        "k2_b": matrix_to_dict(d.k2.b),
     }
-    _print_report(report, args.output == "json")
+    _print_report(report, args)
     return EXIT_OK
 
 
@@ -186,7 +193,7 @@ def cmd_schedule(args) -> int:
     if args.out is not None:
         save_schedule(schedule, args.out)
         report["file"] = args.out
-    _print_report(report, args.output == "json")
+    _print_report(report, args)
     return EXIT_OK
 
 
@@ -197,53 +204,76 @@ def cmd_simulate(args) -> int:
         "target": schedule.target.label(),
         "wall_time_s": schedule.wall_time,
         "drift_time_s": schedule.declared_drift_time,
-        "u_final": _matrix_dict(u),
+        "u_final": matrix_to_dict(u),
     }
-    _print_report(report, args.output == "json")
+    _print_report(report, args)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     schedule = load_schedule(args.schedule)
-    if args.gate is not None or args.matrix is not None:
-        gate = _gate_from_args(args)
-    else:
-        gate = schedule.target
+    gate = _gate_from_args(args, fallback=schedule.target)
     report_data = verify(schedule, gate.unitary())
-    unit = _angle_unit(args)
     passed = report_data.fidelity >= args.threshold
     report = {
         "target": gate.label(),
         "fidelity": report_data.fidelity,
-        f"relative_phase_{unit}": _maybe_degrees(report_data.relative_phase, args),
+        "relative_phase_rad": report_data.relative_phase,
         "wall_time_s": report_data.wall_time,
         "drift_time_s": report_data.drift_time,
         "threshold": args.threshold,
         "pass": passed,
     }
-    _print_report(report, args.output == "json")
+    _print_report(report, args)
     return EXIT_OK if passed else EXIT_FIDELITY
 
 
-def _add_gate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--gate", choices=["cnot", "swap", "sqrtswap", "cu"], help="library gate"
-    )
-    parser.add_argument("--gamma1", type=float, default=0.0)
-    parser.add_argument("--gamma2", type=float, default=0.0)
-    parser.add_argument("--gamma3", type=float, default=0.0)
-    parser.add_argument("--matrix", help="path to a JSON matrix file (re/im arrays)")
+def _opt(*flags, **kwargs) -> tuple:
+    return flags, kwargs
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--output", choices=["text", "json"], default="text")
-    parser.add_argument("--tol-scale", type=float, default=1.0)
-    parser.add_argument(
-        "--degrees", action="store_true", help="display angles in degrees"
-    )
+# Option groups shared by the commands, declared once.
+_GATE_SOURCE = (
+    _opt("--gate", choices=["cnot", "swap", "sqrtswap", "cu"], help="library gate"),
+    _opt("--gamma1", type=float),
+    _opt("--gamma2", type=float),
+    _opt("--gamma3", type=float),
+    _opt("--matrix", help="path to a JSON matrix file (re/im arrays)"),
+)
+_COMMON = (
+    _opt("--output", choices=["text", "json"], default="text"),
+    _opt("--tol-scale", type=float, default=1.0),
+    _opt("--degrees", action="store_true", help="display angles in degrees"),
+)
+_COUPLING = (_opt("--coupling", type=float, required=True, help="coupling J in Hz"),)
+
+# name, handler, help text, options in --help order
+_COMMANDS = (
+    ("invariants", cmd_invariants, "local invariants G1, G2 and (a, b, c)",
+     _GATE_SOURCE + _COMMON),
+    ("mintime", cmd_mintime, "canonical coordinates and minimal time",
+     _GATE_SOURCE + _COMMON + _COUPLING),
+    ("coords", cmd_coords, "canonical coordinates only", _GATE_SOURCE + _COMMON),
+    ("kak", cmd_kak, "full Cartan decomposition", _GATE_SOURCE + _COMMON),
+    ("schedule", cmd_schedule, "synthesize a hard-pulse schedule",
+     _GATE_SOURCE + _COMMON + _COUPLING + (
+         _opt("--pulse-strength", type=float, required=True, help="hard-pulse parameter N"),
+         _opt("-o", "--out", help="write the schedule file here"),
+     )),
+    ("simulate", cmd_simulate, "propagate a schedule file",
+     _COMMON + (_opt("--schedule", required=True, help="schedule file to simulate"),)),
+    ("verify", cmd_verify, "simulate a schedule and check fidelity",
+     _GATE_SOURCE + _COMMON + (
+         _opt("--schedule", required=True, help="schedule file to verify"),
+         _opt("--threshold", type=float, default=0.999, help="fidelity pass threshold"),
+     )),
+)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and returned by
+    every later one (``main`` reuses it; do not modify it)."""
     parser = argparse.ArgumentParser(
         prog="spinpair",
         description="Two-qubit gate invariants, minimal times and hard-pulse schedules "
@@ -251,64 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="local invariants G1, G2 and (a, b, c)")
-    _add_gate_arguments(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("mintime", help="canonical coordinates and minimal time")
-    _add_gate_arguments(p)
-    _add_common(p)
-    p.add_argument("--coupling", type=float, required=True, help="coupling J in Hz")
-    p.set_defaults(func=cmd_mintime)
-
-    p = sub.add_parser("coords", help="canonical coordinates only")
-    _add_gate_arguments(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_coords)
-
-    p = sub.add_parser("kak", help="full Cartan decomposition")
-    _add_gate_arguments(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_kak)
-
-    p = sub.add_parser("schedule", help="synthesize a hard-pulse schedule")
-    _add_gate_arguments(p)
-    _add_common(p)
-    p.add_argument("--coupling", type=float, required=True, help="coupling J in Hz")
-    p.add_argument(
-        "--pulse-strength", type=float, required=True, help="hard-pulse parameter N"
-    )
-    p.add_argument("-o", "--out", help="write the schedule file here")
-    p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("simulate", help="propagate a schedule file")
-    _add_common(p)
-    p.add_argument("--schedule", required=True, help="schedule file to simulate")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="simulate a schedule and check fidelity")
-    _add_gate_arguments(p)
-    _add_common(p)
-    p.add_argument("--schedule", required=True, help="schedule file to verify")
-    p.add_argument(
-        "--threshold", type=float, default=0.999, help="fidelity pass threshold"
-    )
-    p.set_defaults(func=cmd_verify)
-
+    for name, handler, help_text, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        try:
-            set_tol_scale(args.tol_scale)
+        with tol_scale(args.tol_scale):
             return args.func(args)
-        finally:
-            set_tol_scale(1.0)
     except _PIPELINE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE

@@ -9,6 +9,7 @@ of its own module.
 """
 
 import math
+from contextlib import contextmanager
 
 INPUT_TOL = 1e-8
 
@@ -21,6 +22,17 @@ def set_tol_scale(factor: float) -> None:
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(f"tolerance scale must be finite and positive, got {factor}")
     _scale = float(factor)
+
+
+@contextmanager
+def tol_scale(factor: float):
+    """Set the scale for the ``with`` block, then restore the caller's."""
+    previous = _scale
+    set_tol_scale(factor)
+    try:
+        yield
+    finally:
+        set_tol_scale(previous)
 
 
 def input_tolerance() -> float:

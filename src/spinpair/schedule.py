@@ -69,6 +69,23 @@ class PulseSegment:
             raise ValueError(f"segment duration must be positive, got {self.duration}")
 
 
+def matrix_to_dict(m: np.ndarray) -> dict:
+    """The JSON form of a complex matrix: row-major 're' and 'im' arrays."""
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def matrix_from_dict(data) -> np.ndarray:
+    """Inverse of ``matrix_to_dict``; ScheduleFormatError unless two 4x4 real arrays."""
+    try:
+        re = np.array(data["re"], dtype=float)
+        im = np.array(data["im"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScheduleFormatError(f"matrix must have 4x4 're' and 'im' arrays: {exc}") from exc
+    if re.shape != (4, 4) or im.shape != (4, 4):
+        raise ScheduleFormatError("matrix 're' and 'im' arrays must be 4x4, row-major")
+    return re + 1j * im
+
+
 @dataclass(frozen=True, eq=False)
 class GateSpec:
     """Target gate: a named library gate, a controlled-U, or a custom matrix.
@@ -132,13 +149,7 @@ class GateSpec:
         if self.name == "cu":
             return {"name": "cu", "gamma": list(self.gamma)}
         if self.name == "custom":
-            return {
-                "name": "custom",
-                "matrix": {
-                    "re": self.matrix.real.tolist(),
-                    "im": self.matrix.imag.tolist(),
-                },
-            }
+            return {"name": "custom", "matrix": matrix_to_dict(self.matrix)}
         return {"name": self.name}
 
     @classmethod
@@ -149,8 +160,7 @@ class GateSpec:
                 g = data["gamma"]
                 return cls.controlled_u(g[0], g[1], g[2])
             if name == "custom":
-                m = data["matrix"]
-                return cls.custom(np.array(m["re"], dtype=float) + 1j * np.array(m["im"], dtype=float))
+                return cls.custom(matrix_from_dict(data["matrix"]))
             return cls(name=name)
         except (KeyError, TypeError, IndexError) as exc:
             raise ScheduleFormatError(f"malformed gate description: {exc}") from exc
@@ -208,8 +218,6 @@ class Schedule:
                 target=target,
             )
         except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ScheduleFormatError):
-                raise
             raise ScheduleFormatError(f"malformed schedule: {exc}") from exc
 
 

@@ -15,6 +15,8 @@ from spinpair.schedule import (
     Schedule,
     euler_xyx,
     load_schedule,
+    matrix_from_dict,
+    matrix_to_dict,
     save_schedule,
     synthesize,
 )
@@ -283,3 +285,39 @@ class TestValidation:
     def test_segment_duration_positive(self):
         with pytest.raises(ValueError):
             PulseSegment(0.0, ControlAmplitudes(0, 0, 0, 0))
+
+
+class TestMatrixCodec:
+    """One {"re", "im"} form for --matrix files and custom schedule targets."""
+
+    def test_round_trip_is_exact(self, rng):
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        data = json.loads(json.dumps(matrix_to_dict(m)))
+        assert np.array_equal(matrix_from_dict(data), m)
+
+    def test_custom_target_uses_it(self):
+        spec = GateSpec.custom(SQRT_SWAP)
+        assert spec.to_dict() == {"name": "custom", "matrix": matrix_to_dict(spec.matrix)}
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            {"im": np.zeros((4, 4)).tolist()},
+            {"re": np.eye(4).tolist()},
+            {"re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()},
+            {"re": [[1, 0], [0]], "im": np.zeros((4, 4)).tolist()},
+            {"re": [["a"] * 4] * 4, "im": np.zeros((4, 4)).tolist()},
+            {"re": None, "im": None},
+        ],
+        ids=["list", "no-re", "no-im", "3x3", "ragged", "strings", "null"],
+    )
+    def test_malformed_raises_format_error(self, tmp_path, data):
+        with pytest.raises(ScheduleFormatError):
+            matrix_from_dict(data)
+        path = tmp_path / "custom.sched"
+        target = {"name": "custom", "matrix": data}
+        path.write_text(json.dumps({"coupling_j_hz": 1.0, "pulse_strength_n": 1000.0,
+                                    "target": target, "segments": []}))
+        with pytest.raises(ScheduleFormatError):
+            load_schedule(path)
