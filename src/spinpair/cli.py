@@ -34,6 +34,7 @@ from .schedule import (
     load_schedule,
     matrix_from_dict,
     matrix_to_dict,
+    read_json,
     save_schedule,
     synthesize,
 )
@@ -95,17 +96,6 @@ def _text_lines(prefix: str, value):
         yield f"{prefix} = {value}"
 
 
-def _load_matrix_file(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScheduleFormatError(
-                f"matrix file must be JSON with 4x4 're' and 'im' arrays: {exc}"
-            ) from exc
-    return matrix_from_dict(data)
-
-
 def _gate_from_args(args, fallback: GateSpec | None = None) -> GateSpec:
     """The gate named by --gate/--gamma1..3 or --matrix; ``fallback`` when
     neither --gate nor --matrix is given (an error if it is None)."""
@@ -115,7 +105,7 @@ def _gate_from_args(args, fallback: GateSpec | None = None) -> GateSpec:
     if args.gate != "cu" and any(g is not None for g in gammas):
         raise ScheduleFormatError("--gamma1/--gamma2/--gamma3 need --gate cu")
     if args.matrix is not None:
-        return GateSpec.custom(_load_matrix_file(args.matrix))
+        return GateSpec.custom(matrix_from_dict(read_json(args.matrix, "matrix file")))
     if args.gate is None:
         if fallback is None:
             raise ScheduleFormatError("no gate given: use --gate or --matrix")
@@ -211,6 +201,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0.0 <= args.threshold <= 1.0:  # False for NaN too
+        raise ValueError(f"fidelity threshold must be in [0, 1], got {args.threshold}")
     schedule = load_schedule(args.schedule)
     gate = _gate_from_args(args, fallback=schedule.target)
     report_data = verify(schedule, gate.unitary())

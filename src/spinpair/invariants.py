@@ -14,6 +14,7 @@ pre-normalization (with its quartic-root branch ambiguity) is performed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -87,11 +88,18 @@ def magic_transform(u) -> np.ndarray:
 
 
 def _magic_system(u):
-    """Validate ``u`` once; return m(U) = U_B^T U_B and det U_B."""
+    """Validate ``u`` once; return U_B, m(U) = U_B^T U_B and det U_B."""
     ub = magic_transform(u)
     # det(U_B) equals det(U); computing it from the rotated matrix avoids an
     # extra matrix product.
-    return ub.T @ ub, np.linalg.det(ub)
+    return ub, ub.T @ ub, np.linalg.det(ub)
+
+
+def _needs_pi_branch(theta, det) -> bool:
+    """Each theta_k is fixed only mod pi by its eigenvalue exp(2 i theta_k) of
+    m(U); U_B = L diag(exp(i theta)) P^T with L, P in SO(4) also needs
+    sum(theta) = arg det U_B mod 2 pi.  True when theta_0 must move by pi."""
+    return math.cos(sum(theta) - cmath.phase(det)) < 0
 
 
 def _invariants_of(m, det) -> LocalInvariants:
@@ -109,7 +117,7 @@ def _invariants_of(m, det) -> LocalInvariants:
 
 def local_invariants(u) -> LocalInvariants:
     """(G1, G2) of a two-qubit unitary, within 1e-10 (see ``magic_transform``)."""
-    return _invariants_of(*_magic_system(u))
+    return _invariants_of(*_magic_system(u)[1:])
 
 
 def _magic_phases(c1, c2, c3):

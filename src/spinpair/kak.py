@@ -36,13 +36,29 @@ from .invariants import (
     MAGIC_DAG,
     _coords_from_phases,
     _magic_phases,
+    _magic_system,
+    _needs_pi_branch,
 )
 from .linalg import kron, max_norm, unitary4
-from .mintime import CanonicalCoordinates
+from .mintime import COORD_SNAP, CanonicalCoordinates
 
 RECONSTRUCTION_TOL = 1e-7
 LOCAL_RANK_TOL = 1e-8
 LOCAL_GATE_TOL = 1e-9
+
+
+def _require_su2(m: np.ndarray, label: str) -> None:
+    """ValueError unless the 2x2 array ``m`` is in SU(2) within 1e-9."""
+    if m.shape != (2, 2):
+        raise ValueError(f"{label} must be 2x2")
+    # Closed forms of ||m†m - I||_max and det m on the four entries.
+    (p, q), (r, t) = m.tolist()
+    off = p.conjugate() * q + r.conjugate() * t
+    gram = (abs(p) ** 2 + abs(r) ** 2 - 1, abs(q) ** 2 + abs(t) ** 2 - 1, off)
+    if max(abs(x) for x in gram) > LOCAL_GATE_TOL:
+        raise ValueError(f"{label} is not unitary within tolerance")
+    if abs(p * t - q * r - 1) > LOCAL_GATE_TOL:
+        raise ValueError(f"{label} is not det-1 within tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,17 +70,8 @@ class LocalGate:
     phase: float = 0.0
 
     def __post_init__(self):
-        for name, m in (("a", self.a), ("b", self.b)):
-            if m.shape != (2, 2):
-                raise ValueError(f"factor {name} must be 2x2")
-            # Closed forms of ||m†m - I||_max and det m on the four entries.
-            (p, q), (r, t) = m.tolist()
-            off = p.conjugate() * q + r.conjugate() * t
-            gram = (abs(p) ** 2 + abs(r) ** 2 - 1, abs(q) ** 2 + abs(t) ** 2 - 1, off)
-            if max(abs(x) for x in gram) > LOCAL_GATE_TOL:
-                raise ValueError(f"factor {name} is not unitary within tolerance")
-            if abs(p * t - q * r - 1) > LOCAL_GATE_TOL:
-                raise ValueError(f"factor {name} is not det-1 within tolerance")
+        _require_su2(self.a, "factor a")
+        _require_su2(self.b, "factor b")
 
     def unitary(self) -> np.ndarray:
         return np.exp(1j * self.phase) * kron(self.a, self.b)
@@ -188,10 +195,6 @@ _FLIPPERS = (
     1j * np.array([[0, -1j], [1j, 0]], dtype=complex),
     1j * np.array([[1, 0], [0, -1]], dtype=complex),
 )
-# _FLIPPER_POWERS[k][n] = flipper[k]^n, for shifts by any multiple of pi.
-_FLIPPER_POWERS = tuple(
-    tuple(np.linalg.matrix_power(f, n) for n in range(4)) for f in _FLIPPERS
-)
 _SWAPPERS = (
     1j * np.sqrt(0.5) * np.array([[1, -1j], [1j, -1]], dtype=complex),
     1j * np.sqrt(0.5) * np.array([[1, 1], [1, -1]], dtype=complex),
@@ -217,7 +220,7 @@ def _canonicalize(c):
     def shift(k, step):
         v[k] += step * np.pi
         phase[0] *= 1j**step
-        f = _FLIPPER_POWERS[k][step % 4]
+        f = _FLIPPERS[k] if step > 0 else -_FLIPPERS[k]  # flipper^-1 = -flipper
         right[0] = f @ right[0]
         right[1] = f @ right[1]
 
@@ -265,7 +268,7 @@ def _canonicalize(c):
         shift(0, -1)
         negate(0, 2)
 
-    coords = [0.0 if abs(x) < 1e-14 else float(x) for x in v]
+    coords = [0.0 if abs(x) < COORD_SNAP else float(x) for x in v]
     return coords, phase[0], left, right
 
 
@@ -279,16 +282,15 @@ def kak_decompose(u) -> KakDecomposition:
         ReconstructionFailed: if the assembled decomposition misses the input
             by more than 1e-7 in max-norm (never observed for unitary input).
     """
-    u = unitary4(u)
-    ub = MAGIC_DAG @ u @ MAGIC
-    m = ub.T @ ub
+    ub, m, det = _magic_system(u)
     p, mu = _real_orthogonal_eigenbasis(m)
 
     theta = np.angle(mu) / 2
     if np.linalg.det(p) < 0:
         p[:, 0] = -p[:, 0]
+    # Built from the unfixed theta; with det P = 1, det L = det U_B e^{-i sum(theta)}.
     ell = ub @ p @ np.diag(np.exp(-1j * theta))
-    if np.linalg.det(ell).real < 0:
+    if _needs_pi_branch(theta, det):
         theta[0] += np.pi
         ell[:, 0] = -ell[:, 0]
     if max_norm(ell.imag) > 1e-6:

@@ -30,7 +30,6 @@ requires every sin^2(c_i) it reports to satisfy this cubic.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,6 +42,7 @@ from .invariants import (
     _coords_from_phases,
     _invariants_of,
     _magic_system,
+    _needs_pi_branch,
     abc_from_invariants,
 )
 
@@ -295,7 +295,12 @@ def solve_depressed(dc: DepressedCubic) -> CubicRoots:
 
 
 def coords_from_abc(abc: ABCTriple) -> CanonicalCoordinates:
-    """Run the cubic pipeline on an invariant triple."""
+    """Run the cubic pipeline on an invariant triple (the paper's route).
+
+    It loses accuracy next to double roots, which is why ``min_time`` reads
+    the eigenphases: of ``bench/gen.boundary_gates(7, 4000)`` it fails 9
+    (``ResidualTooLarge``), misses 470 by > 1e-6 rad, the worst by 1.0e-3.
+    """
     roots = solve_depressed(depress(cubic_coefficients(abc)))
     c = sorted((float(np.arcsin(np.sqrt(x))) for x in roots.as_tuple()), reverse=True)
     return CanonicalCoordinates(*c)
@@ -304,10 +309,7 @@ def coords_from_abc(abc: ABCTriple) -> CanonicalCoordinates:
 def _spectral_coords(m, det) -> CanonicalCoordinates:
     """Minimal-time coordinates from the eigenphases of m(U)."""
     theta = (np.angle(np.linalg.eigvals(m)) / 2).tolist()
-    # Each theta_k is fixed only mod pi by its eigenvalue exp(2 i theta_k);
-    # U_B = L diag(exp(i theta)) P^T with L, P in SO(4) also needs
-    # sum(theta) = arg det U_B mod 2 pi.
-    if math.cos(sum(theta) - cmath.phase(det)) < 0:
+    if _needs_pi_branch(theta, det):
         theta[0] += math.pi
     # t* depends on each coordinate through arcsin|sin c| in [0, pi/2].
     folded = (
@@ -354,7 +356,7 @@ def _check_against_cubic(coords: CanonicalCoordinates, abc: ABCTriple) -> None:
 
 
 def _analyze(u) -> tuple[CanonicalCoordinates, LocalInvariants, ABCTriple]:
-    m, det = _magic_system(u)
+    _, m, det = _magic_system(u)
     inv = _invariants_of(m, det)
     abc = abc_from_invariants(inv)
     coords = _spectral_coords(m, det)

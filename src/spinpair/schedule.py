@@ -33,8 +33,8 @@ import numpy as np
 from .config import input_tolerance
 from .errors import HardPulseRegimeViolated, ScheduleFormatError
 from .gates import CNOT, SQRT_SWAP, SWAP, controlled_u
-from .kak import LocalGate, kak_decompose
-from .linalg import max_norm, unitary4
+from .kak import LocalGate, _require_su2, kak_decompose
+from .linalg import unitary4
 from .mintime import require_coupling
 
 COORD_SKIP = 1e-12  # interaction coordinates below this emit no segment
@@ -84,6 +84,15 @@ def matrix_from_dict(data) -> np.ndarray:
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise ScheduleFormatError("matrix 're' and 'im' arrays must be 4x4, row-major")
     return re + 1j * im
+
+
+def read_json(path, what: str):
+    """The JSON document in a file; ScheduleFormatError unless it is UTF-8 JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ScheduleFormatError(f"{what} is not valid JSON: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,12 +237,7 @@ def save_schedule(schedule: Schedule, path) -> None:
 
 
 def load_schedule(path) -> Schedule:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScheduleFormatError(f"schedule file is not valid JSON: {exc}") from exc
-    return Schedule.from_dict(data)
+    return Schedule.from_dict(read_json(path, "schedule file"))
 
 
 def euler_xyx(k) -> tuple[float, float, float]:
@@ -244,10 +248,7 @@ def euler_xyx(k) -> tuple[float, float, float]:
     Gimbal-degenerate inputs (beta near 0 or pi) return delta = 0.
     """
     k = np.asarray(k, dtype=complex)
-    if k.shape != (2, 2):
-        raise ValueError("euler_xyx expects a 2x2 matrix")
-    if max_norm(k.conj().T @ k - np.eye(2)) > 1e-9 or abs(np.linalg.det(k) - 1) > 1e-9:
-        raise ValueError("euler_xyx expects a special unitary (det 1) matrix")
+    _require_su2(k, "euler_xyx input")
     return _xyx_angles(k)
 
 
@@ -301,8 +302,7 @@ def _drift(duration: float) -> PulseSegment:
 def _local_stages(k: LocalGate, n: float) -> list[PulseSegment]:
     """Render a local pair a (x) b as merged X, Y, X pulse stages (time order).
 
-    ``LocalGate`` has already checked both factors to be in SU(2) within the
-    1e-9 that ``euler_xyx`` would test again.
+    ``LocalGate`` has already applied ``euler_xyx``'s SU(2) check to both.
     """
     a1, b1, d1 = _xyx_angles(k.a)
     a2, b2, d2 = _xyx_angles(k.b)
@@ -314,6 +314,8 @@ def _local_stages(k: LocalGate, n: float) -> list[PulseSegment]:
 
 
 def _require_hard_pulse(coupling_j: float, pulse_strength_n: float) -> None:
+    if not np.isfinite(pulse_strength_n):
+        raise ValueError(f"pulse strength N must be finite, got {pulse_strength_n}")
     if pulse_strength_n < 10 * coupling_j:
         raise HardPulseRegimeViolated(
             f"pulse strength N = {pulse_strength_n} below hard-pulse threshold "
@@ -351,38 +353,28 @@ def _swap_family_segments(drift_duration: float, n: float) -> tuple[PulseSegment
     return tuple(segments)
 
 
+# Drift windows in time order: (coordinate index, axis, (q1, q2) angles of the
+# pulse before, of the pulse after).  The drift accumulates exp(-i theta ZZ), so
+# a negative coordinate is free drift; a positive one is sandwiched to flip ZZ
+# (1 (x) X), or turn it into -YY or -XX.  Angles are not negated: no -0.0.
+_WINDOWS = (
+    (2, "x", (0.0, np.pi), (0.0, -np.pi)),
+    (1, "x", (-np.pi / 2, np.pi / 2), (np.pi / 2, -np.pi / 2)),
+    (0, "y", (np.pi / 2, -np.pi / 2), (-np.pi / 2, np.pi / 2)),
+)
+
+
 def _kak_segments(u, coupling_j: float, n: float) -> tuple[PulseSegment, ...]:
     decomposition = kak_decompose(u)
-    c1, c2, c3 = decomposition.coords.as_tuple()
-    segments: list[PulseSegment] = []
-
-    segments += _local_stages(decomposition.k2, n)
-
-    def drift_window(coordinate: float) -> None:
-        segments.append(_drift(abs(coordinate) / (np.pi * coupling_j)))
-
-    # ZZ: the drift accumulates exp(-i theta ZZ), so a negative coordinate is
-    # free evolution and a positive one needs the (1 (x) X) sign-flip sandwich.
-    if abs(c3) > COORD_SKIP:
-        if c3 > 0:
-            segments += _pulse("x", 0.0, np.pi, n)
-            drift_window(c3)
-            segments += _pulse("x", 0.0, -np.pi, n)
-        else:
-            drift_window(c3)
-
-    # YY: conjugate ZZ -> -YY with opposite x rotations.
-    if c2 > COORD_SKIP:
-        segments += _pulse("x", -np.pi / 2, np.pi / 2, n)
-        drift_window(c2)
-        segments += _pulse("x", np.pi / 2, -np.pi / 2, n)
-
-    # XX: conjugate ZZ -> -XX with opposite y rotations.
-    if c1 > COORD_SKIP:
-        segments += _pulse("y", np.pi / 2, -np.pi / 2, n)
-        drift_window(c1)
-        segments += _pulse("y", -np.pi / 2, np.pi / 2, n)
-
+    segments = _local_stages(decomposition.k2, n)
+    for index, axis, before, after in _WINDOWS:
+        c = decomposition.coords.as_tuple()[index]
+        if abs(c) <= COORD_SKIP:
+            continue
+        window = [_drift(abs(c) / (np.pi * coupling_j))]
+        if c > 0:
+            window = _pulse(axis, *before, n) + window + _pulse(axis, *after, n)
+        segments += window
     segments += _local_stages(decomposition.k1, n)
     return tuple(segments)
 

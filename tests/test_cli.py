@@ -5,7 +5,7 @@ import pytest
 
 from spinpair.cli import main
 from spinpair.gates import SQRT_SWAP
-from spinpair.schedule import GateSpec, synthesize
+from spinpair.schedule import GateSpec, save_schedule, synthesize
 
 
 def run_cli(capsys, *argv):
@@ -628,3 +628,57 @@ class TestDeterminism:
             )
             blobs.add(path.read_bytes())
         assert len(blobs) == 1
+
+
+class TestRejectedInput:
+    """Invalid scalars and unreadable files exit 2 with one error line."""
+
+    @pytest.fixture
+    def cnot_schedule(self, tmp_path):
+        path = tmp_path / "cnot.sched"
+        save_schedule(synthesize(GateSpec.cnot(), 1.0, 1000.0), path)
+        return str(path)
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "1.5", "-0.1"])
+    def test_threshold_outside_unit_interval_exits_2(self, capsys, cnot_schedule, threshold):
+        code, out, err = run_cli(
+            capsys, "verify", "--schedule", cnot_schedule, f"--threshold={threshold}"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: fidelity threshold") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("threshold, want", [("0", 0), ("1", 5)])
+    def test_threshold_bounds_accepted(self, capsys, cnot_schedule, threshold, want):
+        code, _, _ = run_cli(capsys, "verify", "--schedule", cnot_schedule, "--threshold", threshold)
+        assert code == want
+
+    @pytest.mark.parametrize("gate", ["cnot", "cu"])
+    @pytest.mark.parametrize("strength", ["nan", "inf"])
+    def test_non_finite_pulse_strength_exits_2(self, capsys, tmp_path, gate, strength):
+        out_path = tmp_path / "x.sched"
+        code, out, err = run_cli(
+            capsys, "schedule", "--gate", gate, "--coupling", "1",
+            "--pulse-strength", strength, "-o", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: pulse strength N must be finite, got {strength}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "content", [b"{not json", b"\xff\xfe"], ids=["malformed", "not-utf8"]
+    )
+    def test_unreadable_matrix_file_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.mat"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "mintime", "--matrix", str(path), "--coupling", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: matrix file is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_schedule_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.sched"
+        path.write_bytes(b"\xff\xfe")
+        for command in ("simulate", "verify"):
+            code, out, err = run_cli(capsys, command, "--schedule", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: schedule file is not valid JSON: ")

@@ -218,6 +218,40 @@ class TestTextbookCnotDecomposition:
         assert max_norm(got - CNOT) < 1e-10
 
 
+class TestEigenbasisRetry:
+    """Passes 2 and 3 of the cluster-tolerance retry in the eigenbasis.
+
+    U_B = L diag(exp(i theta/2)) O^T has m(U) = O diag(exp(i theta)) O^T.
+    Two eigenphases +-0.7 apart by delta give Re m eigenvalues cos(0.7) and
+    cos(0.7 - delta), about 0.64 delta apart: above pass 1's 1e-9 cluster
+    tolerance, so one eigh of Re m leaves that pair mixed, and the retry
+    clusters them at 1e-7 (delta = 1e-8) or at 1e-5 (delta = 1e-6).
+    """
+
+    @staticmethod
+    def _so4(rng):
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        q[:, 0] *= np.sign(np.linalg.det(q))
+        return q
+
+    @pytest.mark.parametrize("delta, cluster_tol", [(1e-8, 1e-7), (1e-6, 1e-5)])
+    def test_near_degenerate_pair(self, delta, cluster_tol):
+        rng = np.random.default_rng(1)
+        ell, o = self._so4(rng), self._so4(rng)
+        theta = np.array([0.7, -0.7 + delta, 1.9, -2.4])
+        ub = ell @ np.diag(np.exp(1j * theta / 2)) @ o.T
+        m = ub.T @ ub
+        w, p1 = np.linalg.eigh(m.real)
+        gap = np.diff(w).min()
+        assert cluster_tol / 100 < gap <= cluster_tol  # this pass clusters the pair
+        assert max_norm(p1.T @ m @ p1 - np.diag(np.diagonal(p1.T @ m @ p1))) > 1e-10
+
+        p, mu = kak._real_orthogonal_eigenbasis(m)
+        assert max_norm(p.T @ m @ p - np.diag(mu)) <= 1e-12
+        u = spinpair.invariants.MAGIC @ ub @ spinpair.invariants.MAGIC_DAG
+        assert max_norm(reconstruct(kak_decompose(u)) - u) <= 1e-12
+
+
 class TestChecksStillFire:
     """Each check on the KAK path still raises now that the input is
     validated once and both local factors share one SVD."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,25 @@ class TestSolveDepressed:
                 s + (1 - abc.c) / 2, abs=1e-8
             )
             assert x1 * x2 * x3 == pytest.approx((s - abc.a) / 2, abs=1e-8)
+
+
+class TestSolveDepressedRejects:
+    """Every root is range- and residual-validated."""
+
+    def test_root_outside_unit_interval(self):
+        # roots 1.5, 0.5, 0.2: a valid cubic whose largest root is no sin^2
+        e1, e2, e3 = 2.2, 1.5 * 0.5 + 1.5 * 0.2 + 0.5 * 0.2, 1.5 * 0.5 * 0.2
+        with pytest.raises(ResidualTooLarge, match="leaves"):
+            solve_depressed(depress(CubicCoefficients(-e1, e2, -e3)))
+
+    def test_root_off_the_cubic(self):
+        # Depressed data of the roots (0.8, 0.5, 0.2) checked against the
+        # cubic with roots (0.75, 0.5, 0.25): the polish step cap (1e-3)
+        # keeps every root 0.05 away, with a residual near 1e-2.
+        dc = depress(CubicCoefficients(-1.5, 0.66, -0.08))
+        other = CubicCoefficients(-1.5, 0.6875, -0.09375)
+        with pytest.raises(ResidualTooLarge, match="residual"):
+            solve_depressed(dataclasses.replace(dc, monic=other))
 
 
 class TestCanonicalCoords:

@@ -58,6 +58,18 @@ class TestEulerXYX:
         with pytest.raises(ValueError):
             euler_xyx(1j * np.eye(2))
 
+    @pytest.mark.parametrize(
+        "k, match",
+        [
+            (np.eye(3), "must be 2x2"),
+            (1.001 * np.eye(2), "is not unitary"),
+            (np.diag([1, 1j]), "is not det-1"),
+        ],
+    )
+    def test_shares_the_local_gate_check(self, k, match):
+        with pytest.raises(ValueError, match=f"euler_xyx input {match}"):
+            euler_xyx(k)
+
 
 class TestCnotSchedule:
     def test_five_segments(self):
@@ -155,6 +167,13 @@ class TestSynthesize:
     def test_rejects_soft_pulses(self):
         with pytest.raises(HardPulseRegimeViolated):
             synthesize(GateSpec.swap(), 1.0, 9.9)
+
+    @pytest.mark.parametrize("n", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("spec", [GateSpec.cnot(), GateSpec.controlled_u(0.4, 0.1, 0.0)],
+                             ids=["cnot", "cu"])
+    def test_rejects_non_finite_pulse_strength(self, spec, n):
+        with pytest.raises(ValueError, match="pulse strength N must be finite"):
+            synthesize(spec, 1.0, n)
 
 
 NAMED = [GateSpec.cnot(), GateSpec.swap(), GateSpec.sqrt_swap()]
@@ -272,6 +291,12 @@ class TestScheduleFile:
         path = tmp_path / "bad.sched"
         path.write_text("not json")
         with pytest.raises(ScheduleFormatError):
+            load_schedule(path)
+
+    def test_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "bad.sched"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ScheduleFormatError, match="schedule file is not valid JSON"):
             load_schedule(path)
 
     def test_rejects_missing_fields(self, tmp_path):
