@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import tol_scale
 from .errors import (
     HardPulseRegimeViolated,
     NonRealG2,
@@ -30,6 +29,7 @@ from .invariants import abc_from_invariants, local_invariants
 from .kak import kak_decompose
 from .mintime import canonical_coords, min_time
 from .schedule import (
+    REFERENCE_GATES,
     GateSpec,
     load_schedule,
     matrix_from_dict,
@@ -37,6 +37,7 @@ from .schedule import (
     read_json,
     save_schedule,
     synthesize,
+    tol_scale,
 )
 from .simulate import evolve, verify
 
@@ -226,7 +227,7 @@ def _opt(*flags, **kwargs) -> tuple:
 
 # Option groups shared by the commands, declared once.
 _GATE_SOURCE = (
-    _opt("--gate", choices=["cnot", "swap", "sqrtswap", "cu"], help="library gate"),
+    _opt("--gate", choices=[*REFERENCE_GATES, "cu"], help="library gate"),
     _opt("--gamma1", type=float),
     _opt("--gamma2", type=float),
     _opt("--gamma3", type=float),

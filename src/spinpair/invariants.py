@@ -63,11 +63,11 @@ class ABCTriple:
     _SLACK = 1e-6
 
     def __post_init__(self):
-        if (
-            abs(self.a) > 1 + self._SLACK
-            or abs(self.b) > 0.25 + self._SLACK
-            or abs(self.c) > 3 + self._SLACK
-            or math.hypot(self.a, self.b) > 1 + self._SLACK
+        if not (  # NaN fails too
+            abs(self.a) <= 1 + self._SLACK
+            and abs(self.b) <= 0.25 + self._SLACK
+            and abs(self.c) <= 3 + self._SLACK
+            and math.hypot(self.a, self.b) <= 1 + self._SLACK
         ):
             raise ValueError(f"invariant triple out of range: {self}")
 

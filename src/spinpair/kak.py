@@ -16,12 +16,6 @@ c3 carries a sign: gates whose invariant b = Im G1 is negative are not locally
 equivalent to their mirror image and have no all-nonnegative coordinate
 vector; for them c3 < 0 and |c3| still equals the third minimal-time
 coordinate.
-
-``kak_decompose`` validates its input once and trusts the arrays it derives
-from it.  The two local factors go through ``_factor_locals`` together: one
-unitarity check and one SVD over the stack of both, the rank test applied to
-each, and one ``LocalGate`` (SU(2) check) per factor.  The assembled
-decomposition must still reproduce the input to ``RECONSTRUCTION_TOL``.
 """
 
 from __future__ import annotations
@@ -55,9 +49,9 @@ def _require_su2(m: np.ndarray, label: str) -> None:
     (p, q), (r, t) = m.tolist()
     off = p.conjugate() * q + r.conjugate() * t
     gram = (abs(p) ** 2 + abs(r) ** 2 - 1, abs(q) ** 2 + abs(t) ** 2 - 1, off)
-    if max(abs(x) for x in gram) > LOCAL_GATE_TOL:
+    if not all(abs(x) <= LOCAL_GATE_TOL for x in gram):  # NaN fails too
         raise ValueError(f"{label} is not unitary within tolerance")
-    if abs(p * t - q * r - 1) > LOCAL_GATE_TOL:
+    if not abs(p * t - q * r - 1) <= LOCAL_GATE_TOL:
         raise ValueError(f"{label} is not det-1 within tolerance")
 
 

@@ -118,7 +118,7 @@ def expm_hermitian(h, t: float | np.ndarray) -> np.ndarray:
 def expm2_hermitian(h, t: float) -> np.ndarray:
     """exp(-i t H) for a 2x2 Hermitian H (spectral, same contract as 4x4)."""
     h = np.asarray(h, dtype=complex)
-    if max_norm(h - h.conj().T) > CONSTRUCTION_TOL:
+    if not max_norm(h - h.conj().T) <= CONSTRUCTION_TOL:  # NaN and inf fail too
         raise NonHermitian("2x2 matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T

@@ -275,10 +275,10 @@ def solve_depressed(dc: DepressedCubic) -> CubicRoots:
 
     roots = []
     for x in candidates:
-        if x < -ROOT_RANGE_SLACK or x > 1 + ROOT_RANGE_SLACK:
+        if not -ROOT_RANGE_SLACK <= x <= 1 + ROOT_RANGE_SLACK:  # NaN fails too
             raise ResidualTooLarge(f"root {x!r} leaves [0, 1] beyond slack")
         residual = abs(_monic_value(dc.monic, x))
-        if residual > ROOT_RESIDUAL_TOL:
+        if not residual <= ROOT_RESIDUAL_TOL:
             raise ResidualTooLarge(
                 f"root {x!r} has residual {residual:.3e} > {ROOT_RESIDUAL_TOL:.0e}"
             )

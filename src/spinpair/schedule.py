@@ -21,16 +21,26 @@ No builder states a drift time.  A segment is free drift when all four
 amplitudes are exactly 0.0, the rule by which propagation takes the
 closed-form drift propagator, and ``Schedule`` reads its drift time as the
 sum of those segments' durations, for synthesized and loaded schedules alike.
+
+The one scaled tolerance is the door for outside matrices.  A custom matrix
+(``GateSpec.custom``: CLI ``--matrix`` input and custom targets in schedule
+files) is accepted when ||U†U - I||_max is within ``input_tolerance()`` =
+1e-8 times the scale, and is then snapped to the nearest unitary.
+``tol_scale`` (CLI ``--tol-scale``) sets that scale for a ``with`` block, in
+the calling thread or task only.  Every later check sees an exactly unitary
+matrix and holds a fixed constant of its own module.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import input_tolerance
 from .errors import HardPulseRegimeViolated, ScheduleFormatError
 from .gates import CNOT, SQRT_SWAP, SWAP, controlled_u
 from .kak import LocalGate, _require_su2, kak_decompose
@@ -38,6 +48,27 @@ from .linalg import unitary4
 from .mintime import require_coupling
 
 COORD_SKIP = 1e-12  # interaction coordinates below this emit no segment
+INPUT_TOL = 1e-8
+
+_scale = contextvars.ContextVar("tol_scale", default=1.0)
+
+
+@contextmanager
+def tol_scale(factor: float):
+    """Scale the custom-matrix input tolerance by ``factor`` (finite, > 0)
+    for the ``with`` block, then restore the caller's scale."""
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError(f"tolerance scale must be finite and positive, got {factor}")
+    token = _scale.set(float(factor))
+    try:
+        yield
+    finally:
+        _scale.reset(token)
+
+
+def input_tolerance() -> float:
+    """Unitarity tolerance for custom-matrix input, read at call time."""
+    return INPUT_TOL * _scale.get()
 
 
 @dataclass(frozen=True)
@@ -97,31 +128,35 @@ def read_json(path, what: str):
 
 @dataclass(frozen=True, eq=False)
 class GateSpec:
-    """Target gate: a named library gate, a controlled-U, or a custom matrix.
+    """Target gate: a reference gate, a controlled-U, or a custom matrix.
 
-    A custom matrix is the one input checked at the scaled tolerance
-    (``config.input_tolerance()``, 1e-8 times --tol-scale) and is then
-    snapped to the nearest unitary; rounded or measured matrices enter here.
+    The matrix is resolved once, at construction.  A custom matrix is the one
+    input checked at the scaled tolerance (``input_tolerance()``, 1e-8 times
+    --tol-scale) and is then snapped to the nearest unitary; rounded or
+    measured matrices enter here.
     """
 
     name: str
     gamma: tuple[float, float, float] | None = None
     matrix: np.ndarray | None = field(default=None, repr=False)
 
-    _NAMES = ("cnot", "swap", "sqrtswap", "cu", "custom")
-
     def __post_init__(self):
-        if self.name not in self._NAMES:
+        if self.name not in (*REFERENCE_GATES, "cu", "custom"):
             raise ValueError(f"unknown gate name {self.name!r}")
-        if self.name == "cu" and (self.gamma is None or not np.isfinite(self.gamma).all()):
-            raise ValueError(f"controlled-U requires finite gamma parameters, got {self.gamma}")
-        if self.name == "custom":
+        if self.name == "cu":
+            if self.gamma is None or not np.isfinite(self.gamma).all():
+                raise ValueError(f"controlled-U requires finite gamma parameters, got {self.gamma}")
+            matrix = controlled_u(*self.gamma)
+        elif self.name == "custom":
             if self.matrix is None:
                 raise ValueError("custom gate requires a matrix")
             m = unitary4(self.matrix, tol=input_tolerance())
             # Snap to the nearest unitary (polar projection).
             u, _, vh = np.linalg.svd(m)
-            object.__setattr__(self, "matrix", u @ vh)
+            matrix = u @ vh
+        else:
+            matrix = REFERENCE_GATES[self.name][0].copy()
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def cnot(cls) -> "GateSpec":
@@ -144,15 +179,7 @@ class GateSpec:
         return cls(name="custom", matrix=np.asarray(matrix, dtype=complex))
 
     def unitary(self) -> np.ndarray:
-        if self.name == "cnot":
-            return CNOT.copy()
-        if self.name == "swap":
-            return SWAP.copy()
-        if self.name == "sqrtswap":
-            return SQRT_SWAP.copy()
-        if self.name == "cu":
-            return controlled_u(*self.gamma)
-        return np.array(self.matrix, dtype=complex)
+        return self.matrix.copy()
 
     def to_dict(self) -> dict:
         if self.name == "cu":
@@ -186,13 +213,12 @@ class Schedule:
     coupling_j: float
     pulse_strength_n: float
     target: GateSpec
-    # Total duration of the free-drift segments, in time order; read from
-    # the segments once, never declared by the caller.
-    declared_drift_time: float = field(init=False)
 
-    def __post_init__(self):
-        drift = float(sum(s.duration for s in self.segments if s.amplitudes.is_zero))
-        object.__setattr__(self, "declared_drift_time", drift)
+    @property
+    def declared_drift_time(self) -> float:
+        """Total duration of the free-drift segments, in time order; read from
+        the segments, never declared by the caller."""
+        return float(sum(s.duration for s in self.segments if s.amplitudes.is_zero))
 
     @property
     def wall_time(self) -> float:
@@ -353,6 +379,15 @@ def _swap_family_segments(drift_duration: float, n: float) -> tuple[PulseSegment
     return tuple(segments)
 
 
+# The paper's reference gates: name -> (matrix, segment builder (J, N)).  Every
+# other target goes through the Cartan decomposition.
+REFERENCE_GATES = {
+    "cnot": (CNOT, _cnot_segments),
+    "swap": (SWAP, lambda j, n: _swap_family_segments(1.0 / (2 * j), n)),
+    "sqrtswap": (SQRT_SWAP, lambda j, n: _swap_family_segments(1.0 / (4 * j), n)),
+}
+
+
 # Drift windows in time order: (coordinate index, axis, (q1, q2) angles of the
 # pulse before, of the pulse after).  The drift accumulates exp(-i theta ZZ), so
 # a negative coordinate is free drift; a positive one is sandwiched to flip ZZ
@@ -388,12 +423,8 @@ def synthesize(spec: GateSpec, coupling_j: float, pulse_strength_n: float) -> Sc
     require_coupling(coupling_j)
     _require_hard_pulse(coupling_j, pulse_strength_n)
     n = float(pulse_strength_n)
-    if spec.name == "cnot":
-        segments = _cnot_segments(coupling_j, n)
-    elif spec.name == "swap":
-        segments = _swap_family_segments(1.0 / (2 * coupling_j), n)
-    elif spec.name == "sqrtswap":
-        segments = _swap_family_segments(1.0 / (4 * coupling_j), n)
+    if spec.name in REFERENCE_GATES:
+        segments = REFERENCE_GATES[spec.name][1](coupling_j, n)
     else:
         segments = _kak_segments(spec.unitary(), coupling_j, n)
     return Schedule(

@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 from spinpair import cli
-from spinpair.config import input_tolerance, set_tol_scale
 from spinpair.errors import NonUnitary
 from spinpair.gates import CNOT
-from spinpair.schedule import GateSpec, save_schedule, synthesize
+from spinpair.schedule import GateSpec, input_tolerance, save_schedule, synthesize, tol_scale
 
 from conftest import haar_unitary, weyl_gate
 
@@ -208,13 +207,10 @@ class TestCallerScaleRestored:
         noisy = CNOT + 3e-7 * np.random.default_rng(3).standard_normal((4, 4))
         with pytest.raises(NonUnitary):
             GateSpec.custom(noisy)
-        set_tol_scale(1000)
-        try:
+        with tol_scale(1000):
             GateSpec.custom(noisy)
             assert run_cli(capsys, "coords", "--gate", "cnot")[0] == 0
             assert input_tolerance() == pytest.approx(1e-5)
             GateSpec.custom(noisy)
             assert run_cli(capsys, "coords", "--gate", "cnot", "--tol-scale", "0")[0] == 2
             assert input_tolerance() == pytest.approx(1e-5)
-        finally:
-            set_tol_scale(1.0)

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from spinpair.errors import NonHermitian
 from spinpair.gates import CNOT, SQRT_SWAP, SWAP, controlled_u
 from spinpair.linalg import max_norm, unitary4
 
@@ -20,6 +22,12 @@ def test_controlled_u_block_structure(rng):
     assert max_norm(cu[:2, 2:]) < 1e-15
     assert max_norm(cu[2:, :2]) < 1e-15
     unitary4(cu)
+
+
+@pytest.mark.parametrize("gamma1", [np.nan, np.inf])
+def test_controlled_u_rejects_non_finite(gamma1):
+    with np.errstate(invalid="ignore"), pytest.raises(NonHermitian):
+        controlled_u(gamma1, 0.0, 0.0)
 
 
 def test_controlled_u_zero_is_identity():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from spinpair.config import set_tol_scale
 from spinpair.errors import NonRealG2
 from spinpair.gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP, controlled_u
 from spinpair.invariants import (
@@ -15,6 +14,7 @@ from spinpair.invariants import (
 )
 from spinpair.kak import interaction_unitary
 from spinpair.linalg import max_norm
+from spinpair.schedule import tol_scale
 
 from conftest import haar_unitary, random_local
 
@@ -104,16 +104,18 @@ class TestAbcConversion:
         # The G2 check is fixed: --tol-scale loosens only custom-matrix input.
         inv = LocalInvariants(g1=0j, g2=1 + 1e-6j)
         for scale in (1000, 1.0):
-            set_tol_scale(scale)
-            try:
-                with pytest.raises(NonRealG2):
-                    abc_from_invariants(inv)
-            finally:
-                set_tol_scale(1.0)
+            with tol_scale(scale), pytest.raises(NonRealG2):
+                abc_from_invariants(inv)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
             ABCTriple(a=2.0, b=0.0, c=0.0)
+
+    def test_range_validation_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ABCTriple(a=np.nan, b=0.0, c=0.0)
+        with pytest.raises(ValueError):
+            abc_from_coords(np.nan, 0.0, 0.0)
 
 
 class TestForwardOracle:

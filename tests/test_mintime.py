@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpair.config import input_tolerance, set_tol_scale
 from spinpair.errors import (
     NonPositiveCoupling,
     NonUnitary,
@@ -16,11 +16,12 @@ from spinpair.errors import (
 from spinpair.gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP, controlled_u
 from spinpair.invariants import ABCTriple, abc_from_coords
 from spinpair.kak import interaction_unitary
-from spinpair.schedule import GateSpec
+from spinpair.schedule import GateSpec, input_tolerance, tol_scale
 from spinpair import mintime
 from spinpair.mintime import (
     CanonicalCoordinates,
     CubicCoefficients,
+    DepressedCubic,
     canonical_coords,
     coords_from_abc,
     cubic_coefficients,
@@ -133,6 +134,12 @@ class TestSolveDepressedRejects:
         other = CubicCoefficients(-1.5, 0.6875, -0.09375)
         with pytest.raises(ResidualTooLarge, match="residual"):
             solve_depressed(dataclasses.replace(dc, monic=other))
+
+    def test_nan_cubic(self):
+        nan = float("nan")
+        dc = DepressedCubic(CubicCoefficients(nan, nan, nan), nan, nan, nan, nan, t=nan, theta=nan)
+        with pytest.raises(ResidualTooLarge, match="leaves"):
+            solve_depressed(dc)
 
 
 class TestCanonicalCoords:
@@ -276,8 +283,8 @@ class TestResidualToleranceScale:
 
     @pytest.fixture
     def scaled(self):
-        yield set_tol_scale
-        set_tol_scale(1.0)
+        with contextlib.ExitStack() as scopes:
+            yield lambda factor: scopes.enter_context(tol_scale(factor))
 
     def test_read_at_call_time(self, scaled):
         scaled(1000)

@@ -9,6 +9,7 @@ from spinpair.gates import CNOT, SQRT_SWAP, SWAP
 from spinpair.linalg import max_norm, rotation
 from spinpair.mintime import min_time
 from spinpair.schedule import (
+    REFERENCE_GATES,
     ControlAmplitudes,
     GateSpec,
     PulseSegment,
@@ -64,6 +65,7 @@ class TestEulerXYX:
             (np.eye(3), "must be 2x2"),
             (1.001 * np.eye(2), "is not unitary"),
             (np.diag([1, 1j]), "is not det-1"),
+            (np.full((2, 2), np.nan), "is not unitary"),
         ],
     )
     def test_shares_the_local_gate_check(self, k, match):
@@ -239,6 +241,18 @@ class TestGateSpec:
         assert np.array_equal(GateSpec.cnot().unitary(), CNOT)
         assert np.array_equal(GateSpec.swap().unitary(), SWAP)
         assert np.array_equal(GateSpec.sqrt_swap().unitary(), SQRT_SWAP)
+
+    @pytest.mark.parametrize("name, constant", [("cnot", CNOT), ("swap", SWAP), ("sqrtswap", SQRT_SWAP)])
+    def test_reference_specs_hold_copies(self, name, constant):
+        assert REFERENCE_GATES[name][0] is constant
+        pristine = constant.copy()
+        spec = GateSpec(name=name)
+        u = spec.unitary()
+        assert np.array_equal(u, pristine)
+        u[0, 0] = 7.0
+        assert np.array_equal(spec.unitary(), pristine)
+        spec.matrix[0, 1] = 7.0
+        assert np.array_equal(constant, pristine)
 
     def test_round_trip_named(self):
         spec = GateSpec.controlled_u(0.1, 0.2, 0.3)

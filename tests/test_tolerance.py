@@ -1,25 +1,26 @@
 """One tolerance door: --tol-scale loosens only ``GateSpec.custom``'s input
 check, and every library entry point keeps its fixed checks."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from spinpair.config import input_tolerance, set_tol_scale
 from spinpair.errors import NonUnitary
+from spinpair.gates import CNOT
 from spinpair.invariants import local_invariants
 from spinpair.kak import RECONSTRUCTION_TOL, kak_decompose, reconstruct
 from spinpair.linalg import max_norm
 from spinpair.mintime import min_time
-from spinpair.schedule import GateSpec
+from spinpair.schedule import GateSpec, input_tolerance, tol_scale
 
 from conftest import bench_module
 
 
 @pytest.fixture
 def scale_1000():
-    set_tol_scale(1000)
-    yield
-    set_tol_scale(1.0)
+    with tol_scale(1000):
+        yield
 
 
 def _perturbed_edge_gates():
@@ -50,9 +51,41 @@ def test_door_admits_every_gate_to_kak(scale_1000):
 
 @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
 def test_set_tol_scale_rejects(factor):
-    try:
-        with pytest.raises(ValueError):
-            set_tol_scale(factor)
-        assert input_tolerance() == 1e-8
-    finally:
-        set_tol_scale(1.0)
+    with pytest.raises(ValueError):
+        with tol_scale(factor):
+            pass
+    assert input_tolerance() == 1e-8
+
+
+def test_tol_scale_restores_when_the_block_raises():
+    with pytest.raises(RuntimeError):
+        with tol_scale(1000):
+            assert input_tolerance() == pytest.approx(1e-5)
+            raise RuntimeError
+    assert input_tolerance() == 1e-8
+
+
+def test_scale_stays_in_the_calling_thread():
+    # 3e-7 noise: accepted at scale 1000, rejected at scale 1.
+    noisy = CNOT + 3e-7 * np.random.default_rng(3).standard_normal((4, 4))
+    inside, done = threading.Event(), threading.Event()
+    outcome = []
+
+    def worker():
+        assert inside.wait(timeout=30)
+        try:
+            GateSpec.custom(noisy)
+            outcome.append("accepted")
+        except NonUnitary:
+            outcome.append("rejected")
+        done.set()
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    with tol_scale(1000):
+        GateSpec.custom(noisy)
+        inside.set()
+        assert done.wait(timeout=30)
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert outcome == ["rejected"]
