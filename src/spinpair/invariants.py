@@ -77,19 +77,9 @@ class ABCTriple:
         return float(np.hypot(self.a, self.b))
 
 
-def magic_transform(u) -> np.ndarray:
-    """Rewrite a two-qubit unitary in the magic basis: U_B = O† U O.
-
-    ``u`` must be unitary within 1e-10 (``NonUnitary`` otherwise); pass a
-    rounded or measured matrix through ``GateSpec.custom(u).unitary()``.
-    """
-    u = unitary4(u)
-    return MAGIC_DAG @ u @ MAGIC
-
-
 def _magic_system(u):
-    """Validate ``u`` once; return U_B, m(U) = U_B^T U_B and det U_B."""
-    ub = magic_transform(u)
+    """Validate ``u`` once; return U_B = O† U O, m(U) = U_B^T U_B and det U_B."""
+    ub = MAGIC_DAG @ unitary4(u) @ MAGIC
     # det(U_B) equals det(U); computing it from the rotated matrix avoids an
     # extra matrix product.
     return ub, ub.T @ ub, np.linalg.det(ub)
@@ -116,7 +106,7 @@ def _invariants_of(m, det) -> LocalInvariants:
 
 
 def local_invariants(u) -> LocalInvariants:
-    """(G1, G2) of a two-qubit unitary, within 1e-10 (see ``magic_transform``)."""
+    """(G1, G2) of a two-qubit unitary (within 1e-10: see ``unitary4``, ``GateSpec.custom``)."""
     return _invariants_of(*_magic_system(u)[1:])
 
 

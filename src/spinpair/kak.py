@@ -141,44 +141,51 @@ def _factor_locals(k):
     return a.reshape(lead + (2, 2)), b.reshape(lead + (2, 2)), phase.reshape(lead)
 
 
+# W of the fallback combination Re m + W Im m: fixed and irrational (Euler's gamma).
+_FALLBACK_WEIGHT = 0.5772156649015329
+
+
 def _real_orthogonal_eigenbasis(m):
     """Real orthogonal P and unit-circle eigenvalues mu with m = P diag(mu) P^T.
 
     m must be symmetric unitary.  Its real and imaginary parts are commuting
     real symmetric matrices; eigenspaces of the real part that merge several
-    eigenvalues of m are split by diagonalizing the projected imaginary part
-    inside each cluster.
+    eigenvalues of m (gaps <= 1e-9) are split by diagonalizing the projected
+    imaginary part inside each cluster.  When that basis misses by more than
+    1e-10 (two eigenvalues of m whose real parts are close but not within
+    1e-9), one eigh of Re m + W Im m is tried as well and the better basis kept.
     """
     mr = (m.real + m.real.T) / 2
     mi = (m.imag + m.imag.T) / 2
-    w, p0 = np.linalg.eigh(mr)
-    best = None
-    for cluster_tol in (1e-9, 1e-7, 1e-5):
-        p = p0.copy()
-        start = 0
-        for i in range(1, 5):
-            if i == 4 or w[i] - w[i - 1] > cluster_tol:
-                if i - start > 1:
-                    block = p[:, start:i]
-                    sub = block.T @ mi @ block
-                    _, rot = np.linalg.eigh((sub + sub.T) / 2)
-                    p[:, start:i] = block @ rot
-                start = i
-        # Row j of q is p_j^T m; m is symmetric, so q = diag(mu) p^T exactly
-        # when p is an eigenbasis.
-        q = p.T @ m
-        mu = np.diagonal(q @ p)
-        residual = max_norm(q - mu[:, None] * p.T)
-        if best is None or residual < best[0]:
-            best = (residual, p, mu)
-        if residual <= 1e-10:
-            break
-    residual, p, mu = best
+    w, p = np.linalg.eigh(mr)
+    start = 0
+    for i in range(1, 5):
+        if i == 4 or w[i] - w[i - 1] > 1e-9:
+            if i - start > 1:
+                block = p[:, start:i]
+                sub = block.T @ mi @ block
+                _, rot = np.linalg.eigh((sub + sub.T) / 2)
+                p[:, start:i] = block @ rot
+            start = i
+    residual, mu = _eigen_residual(m, p)
+    if residual > 1e-10:
+        q = np.linalg.eigh(mr + _FALLBACK_WEIGHT * mi)[1]
+        fallback = _eigen_residual(m, q)
+        if fallback[0] < residual:
+            (residual, mu), p = fallback, q
     if residual > 1e-7:
         raise DegenerateSpectrum(
             f"could not build a real eigenbasis: residual {residual:.3e}"
         )
     return p, mu
+
+
+def _eigen_residual(m, p):
+    """(max|P^T m - diag(mu) P^T|, mu) with mu = diag(P^T m P): row j of P^T m
+    is p_j^T m, which equals mu_j p_j^T exactly when p_j is an eigenvector."""
+    q = p.T @ m
+    mu = np.diagonal(q @ p)
+    return max_norm(q - mu[:, None] * p.T), mu
 
 
 # Single-qubit fixups used by the canonicalization moves.  flipper[k] is the
@@ -251,8 +258,6 @@ def _canonicalize(c):
         negate(0, 2)
     if v[1] < 0:
         negate(1, 2)
-    while v[2] <= -np.pi / 2:
-        shift(2, +1)
 
     # Mirror classes coincide at the c1 = pi/2 boundary; prefer c3 >= 0 there.
     # The move maps c1 = pi/2 - d to pi/2 + d, so it is taken only where d is

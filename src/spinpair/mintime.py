@@ -371,8 +371,8 @@ def require_coupling(coupling_j: float) -> None:
 
 
 def canonical_coords(u) -> CanonicalCoordinates:
-    """Canonical coordinates of a two-qubit unitary (within 1e-10, see
-    ``magic_transform``), from the eigenphases of m(U), checked against the cubic."""
+    """Canonical coordinates of a two-qubit unitary (within 1e-10: see ``unitary4``,
+    ``GateSpec.custom``), from the eigenphases of m(U), checked against the cubic."""
     return _analyze(u)[0]
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HardPulseRegimeViolated, ScheduleFormatError
+from .errors import HardPulseRegimeViolated, NonPositiveCoupling, ScheduleFormatError
 from .gates import CNOT, SQRT_SWAP, SWAP, controlled_u
 from .kak import LocalGate, _require_su2, kak_decompose
 from .linalg import unitary4
@@ -213,6 +213,11 @@ class Schedule:
     coupling_j: float
     pulse_strength_n: float
     target: GateSpec
+
+    def __post_init__(self):
+        # NaN and Inf reach propagation, which rejects them as NaN or Inf entries.
+        if math.isfinite(self.coupling_j) and self.coupling_j <= 0:
+            raise NonPositiveCoupling(f"coupling J must be positive, got {self.coupling_j}")
 
     @property
     def declared_drift_time(self) -> float:

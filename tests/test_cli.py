@@ -195,13 +195,13 @@ class TestMintimeGolden:
         from spinpair import invariants
 
         calls = []
-        original = invariants.magic_transform
+        original = invariants.unitary4
 
         def counted(u):
             calls.append(1)
             return original(u)
 
-        monkeypatch.setattr(invariants, "magic_transform", counted)
+        monkeypatch.setattr(invariants, "unitary4", counted)
         code, _, _ = run_cli(capsys, "mintime", "--gate", "cu", "--gamma3", "0.5", "--coupling", "2")
         assert code == 0
         assert len(calls) == 1
@@ -574,6 +574,17 @@ class TestNonFiniteSchedule:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "NaN or Inf" in err
+
+
+class TestNonPositiveSchedule:
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("coupling", [0.0, -1.0], ids=["zero", "negative"])
+    def test_coupling_exits_2(self, capsys, tmp_path, command, coupling):
+        path = schedule_file(tmp_path / "j.sched", coupling)
+        code, out, err = run_cli(capsys, command, "--schedule", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: coupling J must be positive, got {coupling}\n"
 
 
 class TestSimulateCommand:

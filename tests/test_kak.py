@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from spinpair.kak import (
     reconstruct,
 )
 from spinpair.linalg import I2, SIGMA_X, SIGMA_Y, ZZ, expm_hermitian, kron, max_norm, rotation
-from spinpair.mintime import canonical_coords
+from spinpair.mintime import CanonicalCoordinates, canonical_coords
 
 from conftest import haar_unitary, random_local, random_su2, weyl_gate
+from test_kak_equivalence import GATE_SETS
 
 
 class TestInteractionUnitary:
@@ -218,14 +221,40 @@ class TestTextbookCnotDecomposition:
         assert max_norm(got - CNOT) < 1e-10
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Fallback eighs per call of the eigenbasis: the 4x4 eigh calls beyond
+    pass 1's, which are one on Re m plus one on the projected Im m when all
+    four eigenvalues of Re m form one cluster (gaps <= 1e-9)."""
+    counts, calls = [], []
+    eigh, basis = np.linalg.eigh, kak._real_orthogonal_eigenbasis
+
+    def counting_eigh(a, *args, **kwargs):
+        w, v = eigh(a, *args, **kwargs)
+        if np.shape(a) == (4, 4):
+            calls.append(w)
+        return w, v
+
+    def counting_basis(m):
+        calls.clear()
+        result = basis(m)
+        pass_1 = 1 + bool(np.all(np.diff(calls[0]) <= 1e-9))
+        counts.append(len(calls) - pass_1)
+        return result
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(kak, "_real_orthogonal_eigenbasis", counting_basis)
+    return counts
+
+
 class TestEigenbasisRetry:
-    """Passes 2 and 3 of the cluster-tolerance retry in the eigenbasis.
+    """The fallback eigh of Re m + W Im m in the eigenbasis.
 
     U_B = L diag(exp(i theta/2)) O^T has m(U) = O diag(exp(i theta)) O^T.
     Two eigenphases +-0.7 apart by delta give Re m eigenvalues cos(0.7) and
     cos(0.7 - delta), about 0.64 delta apart: above pass 1's 1e-9 cluster
-    tolerance, so one eigh of Re m leaves that pair mixed, and the retry
-    clusters them at 1e-7 (delta = 1e-8) or at 1e-5 (delta = 1e-6).
+    tolerance, so one eigh of Re m leaves that pair mixed, and the fallback
+    combination, on which the pair is well apart, separates it.
     """
 
     @staticmethod
@@ -234,8 +263,8 @@ class TestEigenbasisRetry:
         q[:, 0] *= np.sign(np.linalg.det(q))
         return q
 
-    @pytest.mark.parametrize("delta, cluster_tol", [(1e-8, 1e-7), (1e-6, 1e-5)])
-    def test_near_degenerate_pair(self, delta, cluster_tol):
+    @pytest.mark.parametrize("delta, max_gap", [(1e-8, 1e-7), (1e-6, 1e-5)])
+    def test_near_degenerate_pair(self, fallbacks, delta, max_gap):
         rng = np.random.default_rng(1)
         ell, o = self._so4(rng), self._so4(rng)
         theta = np.array([0.7, -0.7 + delta, 1.9, -2.4])
@@ -243,13 +272,51 @@ class TestEigenbasisRetry:
         m = ub.T @ ub
         w, p1 = np.linalg.eigh(m.real)
         gap = np.diff(w).min()
-        assert cluster_tol / 100 < gap <= cluster_tol  # this pass clusters the pair
+        assert max_gap / 100 < gap <= max_gap  # above pass 1's 1e-9
         assert max_norm(p1.T @ m @ p1 - np.diag(np.diagonal(p1.T @ m @ p1))) > 1e-10
 
         p, mu = kak._real_orthogonal_eigenbasis(m)
         assert max_norm(p.T @ m @ p - np.diag(mu)) <= 1e-12
         u = spinpair.invariants.MAGIC @ ub @ spinpair.invariants.MAGIC_DAG
         assert max_norm(reconstruct(kak_decompose(u)) - u) <= 1e-12
+        assert fallbacks == [1, 1]
+
+    @pytest.mark.parametrize("gates", list(GATE_SETS))
+    def test_not_taken_on_gate_sets(self, fallbacks, gates):
+        inputs = GATE_SETS[gates]()
+        for u in inputs:
+            kak_decompose(u)
+        assert fallbacks == [0] * len(inputs)
+
+
+class TestCanonicalizeExtremePhases:
+    """After the per-axis shifts every coordinate lies in (-pi/2, pi/2].  A
+    negation could put c3 at -pi/2 only from c3 = pi/2, which forces
+    c1 = c2 = pi/2 > 0, so no negation is taken and c3 needs no last shift."""
+
+    _PHASES = (
+        np.pi / 2,
+        -np.pi / 2,
+        np.nextafter(np.pi / 2, 0),
+        np.nextafter(-np.pi / 2, 0),
+        0.0,
+        -0.0,
+        1e-16,
+        0.3,
+    )
+
+    @pytest.mark.parametrize("pi_branch", [False, True], ids=["theta", "theta0-plus-pi"])
+    def test_canonical_and_equivalent(self, pi_branch):
+        for theta in itertools.product(self._PHASES, repeat=4):
+            theta = np.array(theta)
+            if pi_branch:
+                theta[0] += np.pi
+            c_raw = kak._coords_from_phases(theta)
+            coords, phase, left, right = kak._canonicalize(c_raw)
+            CanonicalCoordinates(*coords)
+            assert coords[2] > -np.pi / 2
+            got = phase * kron(*left) @ interaction_unitary(*coords) @ kron(*right)
+            assert max_norm(got - interaction_unitary(*c_raw)) <= 1e-12, theta
 
 
 class TestChecksStillFire:
@@ -262,7 +329,7 @@ class TestChecksStillFire:
 
     def test_eigenbasis_residual(self, monkeypatch, rng):
         # A basis turned away from the eigenvectors of m leaves a residual far
-        # above 1e-7 on every cluster-tolerance pass.
+        # above 1e-7 on pass 1 and on the fallback.
         eigh = np.linalg.eigh
         turn = np.linalg.qr(rng.standard_normal((4, 4)))[0]
 

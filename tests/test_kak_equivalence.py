@@ -2,8 +2,8 @@
 replaced.
 
 `_reference_kak` and `_reference_segments` below are the earlier
-`kak_decompose` and custom-gate `synthesize` path, kept as written: input
-validated again inside `magic_transform`, four mat-vecs for the
+`kak_decompose` and custom-gate `synthesize` path, kept as written: the
+three-pass cluster-tolerance retry in the eigenbasis, four mat-vecs for the
 eigenvalues, `matrix_power` on every canonicalization shift, one SVD and one
 `LocalGate` round trip per local factor, and `euler_xyx` re-checking every
 factor.  The current code must give the same factors, coordinates, global
@@ -18,7 +18,7 @@ import pytest
 
 from spinpair.errors import DegenerateSpectrum, NotLocal, ReconstructionFailed
 from spinpair.gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP, controlled_u
-from spinpair.invariants import MAGIC, MAGIC_DAG, _coords_from_phases, magic_transform
+from spinpair.invariants import MAGIC, MAGIC_DAG, _coords_from_phases
 from spinpair.kak import (
     _FLIPPERS,
     _SWAPPERS,
@@ -141,7 +141,7 @@ def _reference_canonicalize(c, atol=1e-14):
 
 def _reference_kak(u):
     u = unitary4(u)
-    ub = magic_transform(u)
+    ub = MAGIC_DAG @ u @ MAGIC
     m = ub.T @ ub
     p, mu = _reference_eigenbasis(m)
     theta = np.angle(mu) / 2

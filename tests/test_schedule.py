@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from spinpair.errors import HardPulseRegimeViolated, ScheduleFormatError
+from spinpair.errors import HardPulseRegimeViolated, NonPositiveCoupling, ScheduleFormatError
 from spinpair.gates import CNOT, SQRT_SWAP, SWAP
 from spinpair.linalg import max_norm, rotation
 from spinpair.mintime import min_time
@@ -212,6 +212,14 @@ class TestDriftTime:
         seg = PulseSegment(1.0, ControlAmplitudes(0, 0, 0, 0))
         with pytest.raises(TypeError):
             Schedule((seg,), 1.0, 100.0, GateSpec.cnot(), declared_drift_time=1.0)
+
+    @pytest.mark.parametrize("j", [0.0, -0.0, -1.0, -1e-300])
+    def test_rejects_non_positive_coupling(self, j):
+        s = synthesize(GateSpec.cnot(), 1.0, 1000.0)
+        with pytest.raises(NonPositiveCoupling, match="must be positive"):
+            Schedule(s.segments, j, s.pulse_strength_n, s.target)
+        with pytest.raises(NonPositiveCoupling):
+            Schedule.from_dict({**s.to_dict(), "coupling_j_hz": j})
 
 
 class TestDriftRule:
