@@ -1,5 +1,9 @@
 """Time-optimal two-qubit gate analysis and hard-pulse synthesis for a
-heteronuclear spin pair with fixed ZZ coupling."""
+heteronuclear spin pair with fixed ZZ coupling.
+
+The package exports the pipeline the README documents; every other name
+stays importable from the module that defines it.
+"""
 
 __version__ = "0.1.0"
 
@@ -17,30 +21,10 @@ from .errors import (
     ScheduleFormatError,
     SpinPairError,
 )
-from .gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP, controlled_u
-from .invariants import (
-    ABCTriple,
-    LocalInvariants,
-    MAGIC,
-    abc_from_coords,
-    abc_from_invariants,
-    local_invariants,
-)
-from .kak import (
-    KakDecomposition,
-    LocalGate,
-    factor_local,
-    interaction_unitary,
-    kak_decompose,
-    reconstruct,
-)
-from .linalg import expm_hermitian, hermitian4, kron, unitary4
+from .gates import CNOT, SQRT_SWAP, SWAP, controlled_u
+from .invariants import abc_from_invariants, local_invariants
+from .kak import kak_decompose, reconstruct
 from .mintime import (
-    CanonicalCoordinates,
-    CubicCoefficients,
-    CubicRoots,
-    DepressedCubic,
-    MinTimeReport,
     canonical_coords,
     coords_from_abc,
     cubic_coefficients,
@@ -53,19 +37,12 @@ from .schedule import (
     GateSpec,
     PulseSegment,
     Schedule,
-    euler_xyx,
     load_schedule,
     save_schedule,
     synthesize,
     tol_scale,
 )
-from .simulate import (
-    SimulationReport,
-    batch_verify,
-    evolve,
-    fidelity,
-    verify,
-)
+from .simulate import batch_verify, evolve, verify
 
 __all__ = [
     "__version__",
@@ -85,46 +62,25 @@ __all__ = [
     "CNOT",
     "SWAP",
     "SQRT_SWAP",
-    "IDENTITY4",
     "controlled_u",
-    "MAGIC",
-    "LocalInvariants",
-    "ABCTriple",
     "local_invariants",
     "abc_from_invariants",
-    "abc_from_coords",
-    "CubicCoefficients",
-    "DepressedCubic",
-    "CubicRoots",
-    "CanonicalCoordinates",
-    "MinTimeReport",
+    "canonical_coords",
+    "min_time",
     "cubic_coefficients",
     "depress",
     "solve_depressed",
     "coords_from_abc",
-    "canonical_coords",
-    "min_time",
-    "LocalGate",
-    "KakDecomposition",
-    "interaction_unitary",
-    "factor_local",
     "kak_decompose",
     "reconstruct",
-    "kron",
-    "expm_hermitian",
-    "unitary4",
-    "hermitian4",
-    "ControlAmplitudes",
-    "PulseSegment",
     "GateSpec",
     "Schedule",
-    "euler_xyx",
+    "PulseSegment",
+    "ControlAmplitudes",
     "synthesize",
     "save_schedule",
     "load_schedule",
-    "SimulationReport",
     "evolve",
-    "fidelity",
     "verify",
     "batch_verify",
 ]

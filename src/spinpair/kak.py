@@ -61,18 +61,16 @@ class LocalGate:
 
     a: np.ndarray
     b: np.ndarray
-    phase: float = 0.0
 
     def __post_init__(self):
         _require_su2(self.a, "factor a")
         _require_su2(self.b, "factor b")
 
-    def unitary(self) -> np.ndarray:
-        return np.exp(1j * self.phase) * kron(self.a, self.b)
-
 
 @dataclass(frozen=True, eq=False)
 class KakDecomposition:
+    """U = e^{i global_phase} k1 exp(i/2 (c1 XX + c2 YY + c3 ZZ)) k2."""
+
     k1: LocalGate
     coords: CanonicalCoordinates
     k2: LocalGate
@@ -89,20 +87,21 @@ def interaction_unitary(c1: float, c2: float, c3: float) -> np.ndarray:
     return (MAGIC * np.exp(1j * phases)) @ MAGIC_DAG
 
 
-def factor_local(k) -> LocalGate:
-    """Split k = e^{i phi} (A (x) B) into its single-qubit factors.
+def factor_local(k) -> tuple[LocalGate, float]:
+    """Split k = e^{i phi} (A (x) B) into its single-qubit factors and phi.
 
     The reshuffled matrix M[2i+j, 2k+l] = k[2i+k, 2j+l] is rank one exactly
     when k is a tensor product; its top singular pair yields A and B.  A is
     normalized to det 1 with the phase pushed into phi, and the sign is fixed
     so that A's first nonzero entry (row-major) has nonnegative real part.
+    Returns ``(LocalGate(a=A, b=B), phi)``.
 
     Raises:
         NotLocal: if the second singular value of the reshuffle exceeds
             1e-8 (the gate is entangling).
     """
     a, b, phase = _factor_locals(k)
-    return LocalGate(a=a, b=b, phase=float(phase))
+    return LocalGate(a=a, b=b), float(phase)
 
 
 def _factor_locals(k):
@@ -324,6 +323,6 @@ def kak_decompose(u) -> KakDecomposition:
 
 def reconstruct(d: KakDecomposition) -> np.ndarray:
     """Multiply a decomposition back out into a 4x4 unitary."""
-    phase = np.exp(1j * (d.global_phase + d.k1.phase + d.k2.phase))
+    phase = np.exp(1j * d.global_phase)
     center = interaction_unitary(*d.coords.as_tuple())
     return phase * kron(d.k1.a, d.k1.b) @ center @ kron(d.k2.a, d.k2.b)

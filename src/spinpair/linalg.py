@@ -95,6 +95,12 @@ def unitary4(m, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
     )
 
 
+def nearest_unitary(m) -> np.ndarray:
+    """The unitary closest to ``m`` (polar projection U V^H of its SVD); stacks too."""
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
+
+
 def hermitian4(m) -> np.ndarray:
     """Validate and return a 4x4 Hermitian matrix, or a stack (..., 4, 4)."""
     return _validated(m, NonHermitian, lambda h: h - _adjoint(h), "||H - H†||_max")

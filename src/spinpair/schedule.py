@@ -44,7 +44,7 @@ import numpy as np
 from .errors import HardPulseRegimeViolated, NonPositiveCoupling, ScheduleFormatError
 from .gates import CNOT, SQRT_SWAP, SWAP, controlled_u
 from .kak import LocalGate, _require_su2, kak_decompose
-from .linalg import unitary4
+from .linalg import nearest_unitary, unitary4
 from .mintime import require_coupling
 
 COORD_SKIP = 1e-12  # interaction coordinates below this emit no segment
@@ -150,10 +150,7 @@ class GateSpec:
         elif self.name == "custom":
             if self.matrix is None:
                 raise ValueError("custom gate requires a matrix")
-            m = unitary4(self.matrix, tol=input_tolerance())
-            # Snap to the nearest unitary (polar projection).
-            u, _, vh = np.linalg.svd(m)
-            matrix = u @ vh
+            matrix = nearest_unitary(unitary4(self.matrix, tol=input_tolerance()))
         else:
             matrix = REFERENCE_GATES[self.name][0].copy()
         object.__setattr__(self, "matrix", matrix)
@@ -218,6 +215,10 @@ class Schedule:
         # NaN and Inf reach propagation, which rejects them as NaN or Inf entries.
         if math.isfinite(self.coupling_j) and self.coupling_j <= 0:
             raise NonPositiveCoupling(f"coupling J must be positive, got {self.coupling_j}")
+        if not (math.isfinite(self.pulse_strength_n) and self.pulse_strength_n > 0):
+            raise ValueError(
+                f"pulse strength N must be finite and positive, got {self.pulse_strength_n}"
+            )
 
     @property
     def declared_drift_time(self) -> float:

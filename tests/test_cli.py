@@ -519,16 +519,18 @@ class TestScheduleAndVerify:
         assert data["wall_time_s"] == 0.0
 
 
-def schedule_file(path, coupling=1.0, v0=None, segments=None):
-    """A CNOT schedule file with ``coupling``, its segments replaced by
-    ``segments`` and segment 0's amplitudes by ``v0`` when given.  NaN and
-    Infinity are written as JSON tokens, which the loader accepts."""
+def schedule_file(path, coupling=1.0, v0=None, segments=None, n=1000.0):
+    """A CNOT schedule file with ``coupling`` and pulse strength ``n``, its
+    segments replaced by ``segments`` and segment 0's amplitudes by ``v0``
+    when given.  NaN and Infinity are written as JSON tokens, which the
+    loader accepts."""
     data = synthesize(GateSpec.cnot(), 1.0, 1000.0).to_dict()
     if segments is not None:
         data["segments"] = segments
     if v0 is not None:
         data["segments"][0]["v"] = v0
     data["coupling_j_hz"] = coupling
+    data["pulse_strength_n"] = n
     path.write_text(json.dumps(data))
     return str(path)
 
@@ -585,6 +587,17 @@ class TestNonPositiveSchedule:
         assert code == 2
         assert out == ""
         assert err == f"error: coupling J must be positive, got {coupling}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("n", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_pulse_strength_exits_2(self, capsys, tmp_path, command, n):
+        path = schedule_file(tmp_path / "n.sched", n=n)
+        code, out, err = run_cli(capsys, command, "--schedule", path)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: malformed schedule: pulse strength N must be finite and positive, got {n}\n"
+        )
 
 
 class TestSimulateCommand:

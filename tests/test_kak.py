@@ -66,17 +66,17 @@ class TestRotationConjugationIdentity:
 
 class TestFactorLocal:
     def test_identity(self):
-        lg = factor_local(IDENTITY4)
+        lg, phase = factor_local(IDENTITY4)
         assert max_norm(lg.a - np.eye(2)) < 1e-12
         assert max_norm(lg.b - np.eye(2)) < 1e-12
-        assert abs(lg.phase) < 1e-12
+        assert abs(phase) < 1e-12
 
     def test_pauli_product_with_phase(self):
         k = np.exp(1j * np.pi / 7) * kron(SIGMA_X, SIGMA_Y)
-        lg = factor_local(k)
+        lg, phase = factor_local(k)
         # factors are det-normalized, so each is +-i sigma; the product with
         # the recovered phase must reproduce the input exactly
-        assert max_norm(lg.unitary() - k) < 1e-12
+        assert max_norm(np.exp(1j * phase) * kron(lg.a, lg.b) - k) < 1e-12
         assert max_norm(np.abs(lg.a) - np.abs(SIGMA_X)) < 1e-12
         assert max_norm(np.abs(lg.b) - np.abs(SIGMA_Y)) < 1e-12
 
@@ -85,13 +85,13 @@ class TestFactorLocal:
             a, b = random_su2(rng), random_su2(rng)
             phase = rng.uniform(-np.pi, np.pi)
             k = np.exp(1j * phase) * kron(a, b)
-            lg = factor_local(k)
-            assert max_norm(lg.unitary() - k) < 1e-10
+            lg, got = factor_local(k)
+            assert max_norm(np.exp(1j * got) * kron(lg.a, lg.b) - k) < 1e-10
 
     def test_sign_convention_deterministic(self, rng):
         a, b = random_su2(rng), random_su2(rng)
         k = kron(a, b)
-        lg1, lg2 = factor_local(k), factor_local(k)
+        (lg1, _), (lg2, _) = factor_local(k), factor_local(k)
         assert np.array_equal(lg1.a, lg2.a)
         first = next(x for x in lg1.a.ravel() if abs(x) > 1e-12)
         assert first.real >= -1e-12
@@ -100,9 +100,9 @@ class TestFactorLocal:
         ks = np.stack([np.exp(1j * rng.uniform(-3, 3)) * kron(random_su2(rng), random_su2(rng)) for _ in range(3)])
         a, b, phase = _factor_locals(ks)
         for i, k in enumerate(ks):
-            one = factor_local(k)
+            one, one_phase = factor_local(k)
             assert np.array_equal(a[i], one.a) and np.array_equal(b[i], one.b)
-            assert phase[i] == one.phase
+            assert phase[i] == one_phase
 
     def test_cnot_not_local(self):
         with pytest.raises(NotLocal):

@@ -222,6 +222,15 @@ class TestDriftTime:
             Schedule.from_dict({**s.to_dict(), "coupling_j_hz": j})
 
 
+    @pytest.mark.parametrize("n", [-5.0, 0.0, -0.0, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_bad_pulse_strength(self, n):
+        s = synthesize(GateSpec.cnot(), 1.0, 1000.0)
+        with pytest.raises(ValueError, match="pulse strength N must be finite and positive"):
+            Schedule(s.segments, s.coupling_j, n, s.target)
+        with pytest.raises(ScheduleFormatError, match="pulse strength N"):
+            Schedule.from_dict({**s.to_dict(), "pulse_strength_n": n})
+
+
 class TestDriftRule:
     """A segment is free drift iff all four amplitudes are exactly 0.0
     (with propagation: tests/test_simulate.py::TestSkippedWork)."""

@@ -243,6 +243,29 @@ class TestBatchVerify:
             batch_verify([s, s, s], [CNOT, 1.01 * CNOT, CNOT])
 
 
+class TestNearUnitaryTarget:
+    """Targets admitted at 1e-8 but beyond the report's 1e-12 fidelity slack
+    are compared in the form of their nearest unitary."""
+
+    def test_scaled_target_gives_a_report(self):
+        s = synthesize(GateSpec.cnot(), 1.0, 1e6)
+        u = evolve(s)
+        exact = verify(s, u)
+        scaled = verify(s, u * (1 + 1e-9))
+        assert abs(scaled.fidelity - exact.fidelity) <= 1e-12
+        assert abs(scaled.relative_phase - exact.relative_phase) <= 1e-12
+
+    def test_batch_snaps_only_the_loose_target(self):
+        s = synthesize(GateSpec.cnot(), 1.0, 1e6)
+        u = evolve(s)
+        loose, tight = u * (1 + 3e-9), u * (1 + 1e-13)
+        exact = verify(s, u).fidelity
+        reports = batch_verify([s, s], [loose, tight])
+        assert abs(reports[0].fidelity - exact) <= 1e-12
+        # within the slack the target is used as given, scale and all
+        assert abs(reports[1].fidelity - exact * (1 + 1e-13)) <= 1e-14
+
+
 class TestInvalidInput:
     @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
