@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Commands: invariants, mintime, coords, kak, schedule, simulate, verify.
-Exit codes: 0 success, 2 input/parse failure, 3 pipeline failure
-(non-real G2, positive discriminant, or coordinates from the eigenphases
-of m(U) that fail the paper's cubic), 4 hard-pulse violation, 5 fidelity
-below threshold.
+Each command returns its report; ``main`` prints it and picks the exit code:
+0 success, 2 input/parse failure, 3 pipeline failure (non-real G2, positive
+discriminant, coordinates from the eigenphases of m(U) that fail the paper's
+cubic, or a Cartan decomposition that fails), 4 hard-pulse violation,
+5 fidelity below threshold.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .errors import (
-    HardPulseRegimeViolated,
-    NonRealG2,
-    PositiveDiscriminant,
-    ResidualTooLarge,
-    ScheduleFormatError,
-    SpinPairError,
-)
+from . import __version__, errors
 from .invariants import abc_from_invariants, local_invariants
 from .kak import kak_decompose
 from .mintime import canonical_coords, min_time
@@ -47,10 +40,24 @@ EXIT_PIPELINE = 3
 EXIT_HARD_PULSE = 4
 EXIT_FIDELITY = 5
 
-# Caught after the pipeline and hard-pulse errors, so every other SpinPairError
-# (NonUnitary, ScheduleFormatError, ...) is an input failure.
-_INPUT_ERRORS = (SpinPairError, OSError, ValueError)
-_PIPELINE_ERRORS = (NonRealG2, PositiveDiscriminant, ResidualTooLarge)
+# The exit code of every error ``main`` catches, looked up along the error's
+# MRO.  Each SpinPairError subclass is listed, so a new one needs a decision.
+_EXIT_CODES = {
+    errors.NonRealG2: EXIT_PIPELINE,
+    errors.PositiveDiscriminant: EXIT_PIPELINE,
+    errors.ResidualTooLarge: EXIT_PIPELINE,
+    errors.NotLocal: EXIT_PIPELINE,
+    errors.DegenerateSpectrum: EXIT_PIPELINE,
+    errors.ReconstructionFailed: EXIT_PIPELINE,
+    errors.HardPulseRegimeViolated: EXIT_HARD_PULSE,
+    errors.NonUnitary: EXIT_INPUT,
+    errors.NonHermitian: EXIT_INPUT,
+    errors.NonPositiveCoupling: EXIT_INPUT,
+    errors.ScheduleFormatError: EXIT_INPUT,
+    errors.SpinPairError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
+    ValueError: EXIT_INPUT,
+}
 
 
 def _fmt(x: float) -> str:
@@ -62,9 +69,8 @@ def _print_report(report: dict, args) -> None:
         report = dict(_in_degrees(key, value) for key, value in report.items())
     if args.output == "json":
         print(json.dumps(report, indent=2))
-        return
-    for line in _text_lines("", report):
-        print(line)
+    else:
+        print("\n".join(_text_lines("", report)))
 
 
 def _in_degrees(key: str, value):
@@ -81,16 +87,9 @@ def _text_lines(prefix: str, value):
     if isinstance(value, dict):
         for key, sub in value.items():
             yield from _text_lines(f"{prefix}.{key}" if prefix else key, sub)
-    elif isinstance(value, (list, tuple)):
-        if value and isinstance(value[0], (list, tuple)):
-            for i, row in enumerate(value):
-                yield f"{prefix}[{i}] = " + " ".join(
-                    _fmt(x) if isinstance(x, float) else str(x) for x in row
-                )
-        else:
-            yield f"{prefix} = " + " ".join(
-                _fmt(x) if isinstance(x, float) else str(x) for x in value
-            )
+    elif isinstance(value, list):  # the rows of a real matrix
+        for i, row in enumerate(value):
+            yield f"{prefix}[{i}] = " + " ".join(map(_fmt, row))
     elif isinstance(value, float):
         yield f"{prefix} = {_fmt(value)}"
     else:
@@ -102,14 +101,14 @@ def _gate_from_args(args, fallback: GateSpec | None = None) -> GateSpec:
     neither --gate nor --matrix is given (an error if it is None)."""
     gammas = (args.gamma1, args.gamma2, args.gamma3)
     if args.gate is not None and args.matrix is not None:
-        raise ScheduleFormatError("--gate and --matrix are exclusive: give one")
+        raise errors.ScheduleFormatError("--gate and --matrix are exclusive: give one")
     if args.gate != "cu" and any(g is not None for g in gammas):
-        raise ScheduleFormatError("--gamma1/--gamma2/--gamma3 need --gate cu")
+        raise errors.ScheduleFormatError("--gamma1/--gamma2/--gamma3 need --gate cu")
     if args.matrix is not None:
         return GateSpec.custom(matrix_from_dict(read_json(args.matrix, "matrix file")))
     if args.gate is None:
         if fallback is None:
-            raise ScheduleFormatError("no gate given: use --gate or --matrix")
+            raise errors.ScheduleFormatError("no gate given: use --gate or --matrix")
         return fallback
     if args.gate == "cu":
         return GateSpec.controlled_u(*(0.0 if g is None else g for g in gammas))
@@ -128,16 +127,13 @@ def _invariants_block(inv, abc) -> dict:
     }
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> dict:
     gate = _gate_from_args(args)
     inv = local_invariants(gate.unitary())
-    report = {"gate": gate.label()}
-    report.update(_invariants_block(inv, abc_from_invariants(inv)))
-    _print_report(report, args)
-    return EXIT_OK
+    return {"gate": gate.label(), **_invariants_block(inv, abc_from_invariants(inv))}
 
 
-def cmd_mintime(args) -> int:
+def cmd_mintime(args) -> dict:
     gate = _gate_from_args(args)
     result = min_time(gate.unitary(), args.coupling)
     report = {"gate": gate.label()}
@@ -145,21 +141,18 @@ def cmd_mintime(args) -> int:
     report.update(_coords_block(result.coords))
     report["coupling_j_hz"] = result.coupling_j
     report["t_star_seconds"] = result.t_star
-    _print_report(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_coords(args) -> int:
+def cmd_coords(args) -> dict:
     gate = _gate_from_args(args)
-    report = {"gate": gate.label(), **_coords_block(canonical_coords(gate.unitary()))}
-    _print_report(report, args)
-    return EXIT_OK
+    return {"gate": gate.label(), **_coords_block(canonical_coords(gate.unitary()))}
 
 
-def cmd_kak(args) -> int:
+def cmd_kak(args) -> dict:
     gate = _gate_from_args(args)
     d = kak_decompose(gate.unitary())
-    report = {
+    return {
         "gate": gate.label(),
         **_coords_block(d.coords),
         "global_phase_rad": d.global_phase,
@@ -168,11 +161,9 @@ def cmd_kak(args) -> int:
         "k2_a": matrix_to_dict(d.k2.a),
         "k2_b": matrix_to_dict(d.k2.b),
     }
-    _print_report(report, args)
-    return EXIT_OK
 
 
-def cmd_schedule(args) -> int:
+def cmd_schedule(args) -> dict:
     gate = _gate_from_args(args)
     schedule = synthesize(gate, args.coupling, args.pulse_strength)
     report = {
@@ -184,41 +175,34 @@ def cmd_schedule(args) -> int:
     if args.out is not None:
         save_schedule(schedule, args.out)
         report["file"] = args.out
-    _print_report(report, args)
-    return EXIT_OK
+    return report
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     schedule = load_schedule(args.schedule)
-    u = evolve(schedule)
-    report = {
+    return {
         "target": schedule.target.label(),
         "wall_time_s": schedule.wall_time,
         "drift_time_s": schedule.declared_drift_time,
-        "u_final": matrix_to_dict(u),
+        "u_final": matrix_to_dict(evolve(schedule)),
     }
-    _print_report(report, args)
-    return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     if not 0.0 <= args.threshold <= 1.0:  # False for NaN too
         raise ValueError(f"fidelity threshold must be in [0, 1], got {args.threshold}")
     schedule = load_schedule(args.schedule)
     gate = _gate_from_args(args, fallback=schedule.target)
-    report_data = verify(schedule, gate.unitary())
-    passed = report_data.fidelity >= args.threshold
-    report = {
+    result = verify(schedule, gate.unitary())
+    return {
         "target": gate.label(),
-        "fidelity": report_data.fidelity,
-        "relative_phase_rad": report_data.relative_phase,
-        "wall_time_s": report_data.wall_time,
-        "drift_time_s": report_data.drift_time,
+        "fidelity": result.fidelity,
+        "relative_phase_rad": result.relative_phase,
+        "wall_time_s": result.wall_time,
+        "drift_time_s": result.drift_time,
         "threshold": args.threshold,
-        "pass": passed,
+        "pass": result.fidelity >= args.threshold,
     }
-    _print_report(report, args)
-    return EXIT_OK if passed else EXIT_FIDELITY
 
 
 def _opt(*flags, **kwargs) -> tuple:
@@ -286,16 +270,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with tol_scale(args.tol_scale):
-            return args.func(args)
-    except _PIPELINE_ERRORS as exc:
+            report = args.func(args)
+        _print_report(report, args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE
-    except HardPulseRegimeViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HARD_PULSE
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+    return EXIT_OK if report.get("pass", True) else EXIT_FIDELITY
 
 
 if __name__ == "__main__":

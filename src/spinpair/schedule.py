@@ -130,6 +130,9 @@ def read_json(path, what: str):
 class GateSpec:
     """Target gate: a reference gate, a controlled-U, or a custom matrix.
 
+    Only a cu gate takes ``gamma`` (three angles) and only a custom gate takes
+    ``matrix``; a field the kind does not use is rejected, not dropped.
+
     The matrix is resolved once, at construction.  A custom matrix is the one
     input checked at the scaled tolerance (``input_tolerance()``, 1e-8 times
     --tol-scale) and is then snapped to the nearest unitary; rounded or
@@ -143,6 +146,10 @@ class GateSpec:
     def __post_init__(self):
         if self.name not in (*REFERENCE_GATES, "cu", "custom"):
             raise ValueError(f"unknown gate name {self.name!r}")
+        if self.name != "cu" and self.gamma is not None:
+            raise ValueError(f"gamma parameters are for a cu gate, not {self.name!r}")
+        if self.name != "custom" and self.matrix is not None:
+            raise ValueError(f"a matrix is for a custom gate, not {self.name!r}")
         if self.name == "cu":
             if self.gamma is None or not np.isfinite(self.gamma).all():
                 raise ValueError(f"controlled-U requires finite gamma parameters, got {self.gamma}")
@@ -190,8 +197,12 @@ class GateSpec:
         try:
             name = data["name"]
             if name == "cu":
-                g = data["gamma"]
-                return cls.controlled_u(g[0], g[1], g[2])
+                gamma = data["gamma"]
+                if len(gamma) != 3:
+                    raise ScheduleFormatError(
+                        f"malformed gate description: cu needs 3 gamma values, got {len(gamma)}"
+                    )
+                return cls.controlled_u(*gamma)
             if name == "custom":
                 return cls.custom(matrix_from_dict(data["matrix"]))
             return cls(name=name)

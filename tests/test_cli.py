@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spinpair import cli, errors
 from spinpair.cli import main
 from spinpair.gates import SQRT_SWAP
 from spinpair.schedule import GateSpec, save_schedule, synthesize
@@ -362,6 +367,97 @@ class TestPipelineExitCode:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "cubic residual" in err
+
+
+class TestExitCodeTable:
+    def test_every_error_has_an_explicit_code(self):
+        # A new error class must be added here, with the code it exits with.
+        expected = {
+            errors.NonRealG2: 3,
+            errors.PositiveDiscriminant: 3,
+            errors.ResidualTooLarge: 3,
+            errors.NotLocal: 3,
+            errors.DegenerateSpectrum: 3,
+            errors.ReconstructionFailed: 3,
+            errors.HardPulseRegimeViolated: 4,
+            errors.NonUnitary: 2,
+            errors.NonHermitian: 2,
+            errors.NonPositiveCoupling: 2,
+            errors.ScheduleFormatError: 2,
+            errors.SpinPairError: 2,
+            OSError: 2,
+            ValueError: 2,
+        }
+        declared = {
+            obj for obj in vars(errors).values()
+            if isinstance(obj, type) and issubclass(obj, errors.SpinPairError)
+        }
+        assert set(expected) == declared | {OSError, ValueError}
+        assert cli._EXIT_CODES == expected
+
+    @pytest.mark.parametrize(
+        "error", [errors.DegenerateSpectrum, errors.ReconstructionFailed, errors.NotLocal],
+        ids=lambda e: e.__name__,
+    )
+    @pytest.mark.parametrize(
+        "command", [("kak",), ("schedule", "--coupling", "1", "--pulse-strength", "1000")],
+        ids=["kak", "schedule"],
+    )
+    def test_decomposition_failure_maps_to_3(self, capsys, monkeypatch, command, error):
+        # A valid unitary whose Cartan decomposition fails is a pipeline
+        # failure, not an input failure.
+        from spinpair import kak
+
+        def fail(m):
+            raise error("synthetic decomposition failure")
+
+        monkeypatch.setattr(kak, "_real_orthogonal_eigenbasis", fail)
+        code, out, err = run_cli(capsys, command[0], "--gate", "cu", "--gamma1", "0.3", *command[1:])
+        assert (code, out, err) == (3, "", "error: synthetic decomposition failure\n")
+
+
+class TestScheduleTarget:
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ({"name": "bogus"}, "malformed schedule: unknown gate name 'bogus'"),
+            ({}, "malformed gate description: 'name'"),
+            ({"name": "cu", "gamma": [0.1, 0.2]},
+             "malformed gate description: cu needs 3 gamma values, got 2"),
+            ({"name": "cu", "gamma": [0.1, 0.2, 0.3, 9.0]},
+             "malformed gate description: cu needs 3 gamma values, got 4"),
+        ],
+        ids=["unknown-name", "no-name", "two-gammas", "four-gammas"],
+    )
+    def test_rejected_with_one_error_line(self, capsys, tmp_path, target, message):
+        data = synthesize(GateSpec.controlled_u(0.1, 0.2, 0.3), 1.0, 1000.0).to_dict()
+        data["target"] = target
+        path = tmp_path / "target.sched"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "verify", "--schedule", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestShellEntryPoint:
+    """``python -m spinpair.cli`` with every warning an error."""
+
+    @staticmethod
+    def run(tmp_path, *argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "spinpair.cli", *argv],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+
+    def test_coords(self, tmp_path):
+        proc = self.run(tmp_path, "coords", "--gate", "swap")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, COORDS_GOLDEN[("swap", "text")], "")
+
+    def test_missing_schedule(self, tmp_path):
+        proc = self.run(tmp_path, "verify", "--schedule", str(tmp_path / "no.sched"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestScheduleAndVerify:

@@ -157,6 +157,10 @@ class TestCanonicalCoords:
         coords = canonical_coords(gate)
         assert coords.as_tuple() == pytest.approx(want, abs=1e-12)
 
+    def test_rejects_unsorted_coordinates(self):
+        with pytest.raises(ValueError, match="outside the canonical region"):
+            CanonicalCoordinates(0.1, 0.2, 0.0)
+
     def test_ordering_and_range(self, rng):
         for _ in range(100):
             c = canonical_coords(haar_unitary(rng))

@@ -271,6 +271,22 @@ class TestGateSpec:
         spec.matrix[0, 1] = 7.0
         assert np.array_equal(constant, pristine)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"name": "cnot", "matrix": np.eye(4)},
+            {"name": "swap", "gamma": (0.1, 0.2, 0.3)},
+            {"name": "cu", "gamma": (0.1, 0.2, 0.3), "matrix": np.eye(4)},
+            {"name": "custom", "gamma": (0.1, 0.2, 0.3), "matrix": np.eye(4)},
+            {"name": "custom"},
+        ],
+        ids=["cnot-matrix", "swap-gamma", "cu-matrix", "custom-gamma", "custom-no-matrix"],
+    )
+    def test_fields_match_the_kind(self, kwargs):
+        # gamma belongs to cu and matrix to custom; no field is dropped.
+        with pytest.raises(ValueError):
+            GateSpec(**kwargs)
+
     def test_round_trip_named(self):
         spec = GateSpec.controlled_u(0.1, 0.2, 0.3)
         again = GateSpec.from_dict(spec.to_dict())
