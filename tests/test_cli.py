@@ -416,6 +416,9 @@ class TestExitCodeTable:
         assert (code, out, err) == (3, "", "error: synthetic decomposition failure\n")
 
 
+IDENTITY_DICT = {"re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}
+
+
 class TestScheduleTarget:
     @pytest.mark.parametrize(
         "target, message",
@@ -426,8 +429,15 @@ class TestScheduleTarget:
              "malformed gate description: cu needs 3 gamma values, got 2"),
             ({"name": "cu", "gamma": [0.1, 0.2, 0.3, 9.0]},
              "malformed gate description: cu needs 3 gamma values, got 4"),
+            ({"name": "cnot", "gamma": [1, 2, 3]},
+             "malformed gate description: a cnot target takes no gamma"),
+            ({"name": "cu", "gamma": [0.1, 0.2, 0.3], "matrix": IDENTITY_DICT},
+             "malformed gate description: a cu target takes no matrix"),
+            ({"name": "custom", "matrix": IDENTITY_DICT, "gamma": [0.1, 0.2, 0.3]},
+             "malformed gate description: a custom target takes no gamma"),
         ],
-        ids=["unknown-name", "no-name", "two-gammas", "four-gammas"],
+        ids=["unknown-name", "no-name", "two-gammas", "four-gammas", "cnot-gamma",
+             "cu-matrix", "custom-gamma"],
     )
     def test_rejected_with_one_error_line(self, capsys, tmp_path, target, message):
         data = synthesize(GateSpec.controlled_u(0.1, 0.2, 0.3), 1.0, 1000.0).to_dict()
@@ -629,6 +639,16 @@ def schedule_file(path, coupling=1.0, v0=None, segments=None, n=1000.0):
     data["pulse_strength_n"] = n
     path.write_text(json.dumps(data))
     return str(path)
+
+
+class TestAmplitudeCount:
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_rejected_with_one_error_line(self, capsys, tmp_path, count):
+        path = schedule_file(tmp_path / "short.sched", v0=[0.0] * count)
+        code, out, err = run_cli(capsys, "verify", "--schedule", path)
+        assert (code, out, err) == (
+            2, "", f"error: malformed schedule: segment 0 needs 4 amplitudes, got {count}\n"
+        )
 
 
 class TestNonFiniteSchedule:

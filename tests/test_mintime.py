@@ -14,7 +14,7 @@ from spinpair.errors import (
     SpinPairError,
 )
 from spinpair.gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP, controlled_u
-from spinpair.invariants import ABCTriple, abc_from_coords
+from spinpair.invariants import ABCTriple, abc_from_coords, abc_from_invariants, local_invariants
 from spinpair.kak import interaction_unitary
 from spinpair.schedule import GateSpec, input_tolerance, tol_scale
 from spinpair import mintime
@@ -78,7 +78,6 @@ class TestDepress:
         dc = depress(cubic_coefficients(abc))
         assert dc.discriminant < -1e-12
         assert dc.t is not None and -1 < dc.t < 1
-        assert dc.theta == pytest.approx(np.arccos(dc.t))
 
 
 class TestSolveDepressed:
@@ -137,7 +136,7 @@ class TestSolveDepressedRejects:
 
     def test_nan_cubic(self):
         nan = float("nan")
-        dc = DepressedCubic(CubicCoefficients(nan, nan, nan), nan, nan, nan, nan, t=nan, theta=nan)
+        dc = DepressedCubic(CubicCoefficients(nan, nan, nan), nan, nan, nan, nan, t=nan)
         with pytest.raises(ResidualTooLarge, match="leaves"):
             solve_depressed(dc)
 
@@ -390,6 +389,20 @@ class TestChamberBoundary:
         report = min_time(weyl_gate(np.random.default_rng(3), np.pi / 2, 0.0, 0.0), 1.0)
         assert report.coords.as_tuple() == pytest.approx((np.pi / 2, 0.0, 0.0), abs=1e-14)
         assert report.coords.c2 == report.coords.c3 == 0.0
+
+    def test_paper_route_on_benchmark_edges(self):
+        # The cubic route loses accuracy only next to double roots, and the
+        # polish must keep those losses rare on the benchmark's edge gates.
+        failed, errors = 0, []
+        for gate in bench_module("gen").boundary_gates(7, 4000):
+            try:
+                coords = coords_from_abc(abc_from_invariants(local_invariants(gate.matrix)))
+            except ResidualTooLarge:
+                failed += 1
+                continue
+            errors.append(np.abs(np.subtract(coords.as_tuple(), gate.truth)).max())
+        assert failed < 9
+        assert np.median(errors) < 1e-11
 
 
 _coordinate = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, np.pi / 2))
