@@ -18,9 +18,10 @@ conjugated drift window (the drift natively accumulates negative ZZ phase, so
 a positive coordinate needs a pi x-pulse sandwich on the second qubit).
 
 No builder states a drift time.  A segment is free drift when all four
-amplitudes are exactly 0.0, the rule by which propagation takes the
-closed-form drift propagator, and ``Schedule`` reads its drift time as the
-sum of those segments' durations, for synthesized and loaded schedules alike.
+amplitudes are exactly 0.0 (``ControlAmplitudes.is_zero``, the one place the
+rule lives; propagation treats every segment alike), and ``Schedule`` reads
+its drift time as the sum of those segments' durations, for synthesized and
+loaded schedules alike.
 
 The one scaled tolerance is the door for outside matrices.  A custom matrix
 (``GateSpec.custom``: CLI ``--matrix`` input and custom targets in schedule
@@ -86,7 +87,7 @@ class ControlAmplitudes:
     @property
     def is_zero(self) -> bool:
         """Free drift: all four amplitudes exactly 0.0 (-0.0 included), the
-        rule by which propagation takes the closed-form drift propagator."""
+        segments whose durations make up the schedule's drift time."""
         return self.v1 == 0.0 and self.v2 == 0.0 and self.v3 == 0.0 and self.v4 == 0.0
 
 
@@ -105,8 +106,27 @@ def matrix_to_dict(m: np.ndarray) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
+def _require_numbers(where: str, value, array: bool = False) -> None:
+    """ScheduleFormatError unless ``value`` is a number (a JSON number, or
+    from Python a numpy integer or float; never a bool or a str), or with
+    ``array`` a JSON array (list, tuple or numpy array) of them.
+
+    The readers call it after their own float conversions, which also take
+    bools, numeric strings and other iterables, so input those conversions
+    refuse keeps its message.
+    """
+    items = value if array else [value]
+    if (array and not isinstance(value, (list, tuple, np.ndarray))) or not all(
+        isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+        for x in items
+    ):
+        kind = "an array of numbers" if array else "a number"
+        raise ScheduleFormatError(f"{where} must be {kind}, got {value!r}")
+
+
 def matrix_from_dict(data) -> np.ndarray:
-    """Inverse of ``matrix_to_dict``; ScheduleFormatError unless two 4x4 real arrays."""
+    """Inverse of ``matrix_to_dict``; ScheduleFormatError unless exactly two
+    4x4 arrays of numbers, 're' and 'im'."""
     try:
         re = np.array(data["re"], dtype=float)
         im = np.array(data["im"], dtype=float)
@@ -114,6 +134,12 @@ def matrix_from_dict(data) -> np.ndarray:
         raise ScheduleFormatError(f"matrix must have 4x4 're' and 'im' arrays: {exc}") from exc
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise ScheduleFormatError("matrix 're' and 'im' arrays must be 4x4, row-major")
+    unused = sorted(set(data) - {"re", "im"})
+    if unused:
+        raise ScheduleFormatError(f"a matrix takes only 're' and 'im', not {', '.join(unused)}")
+    for key in ("re", "im"):
+        for row in data[key]:
+            _require_numbers(f"matrix '{key}' row", row, array=True)
     return re + 1j * im
 
 
@@ -215,6 +241,8 @@ class GateSpec:
             raise ScheduleFormatError(
                 f"malformed gate description: a {spec.name} target takes no {', '.join(unused)}"
             )
+        if spec.name == "cu":
+            _require_numbers("malformed gate description: 'gamma'", data["gamma"], array=True)
         return spec
 
     def label(self) -> str:
@@ -273,7 +301,7 @@ class Schedule:
                     )
                 segments.append(PulseSegment(duration, ControlAmplitudes(*v)))
             target = GateSpec.from_dict(data["target"])
-            return cls(
+            schedule = cls(
                 segments=tuple(segments),
                 coupling_j=float(data["coupling_j_hz"]),
                 pulse_strength_n=float(data["pulse_strength_n"]),
@@ -281,6 +309,16 @@ class Schedule:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ScheduleFormatError(f"malformed schedule: {exc}") from exc
+        if not isinstance(data["segments"], (list, tuple)):
+            raise ScheduleFormatError(
+                f"malformed schedule: 'segments' must be an array, got {data['segments']!r}"
+            )
+        for key in ("coupling_j_hz", "pulse_strength_n"):
+            _require_numbers(f"malformed schedule: '{key}'", data[key])
+        for i, seg in enumerate(data["segments"]):
+            _require_numbers(f"malformed schedule: segment {i} 'duration_s'", seg["duration_s"])
+            _require_numbers(f"malformed schedule: segment {i} 'v'", seg["v"], array=True)
+        return schedule
 
 
 def save_schedule(schedule: Schedule, path) -> None:

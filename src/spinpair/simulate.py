@@ -6,9 +6,10 @@ target gate is the physical hard-pulse error (drift running during local
 pulses), which vanishes as the pulse strength N grows.
 
 Propagation is batched: the segments of every schedule in a call are gathered
-into arrays.  Free-drift segments (all four amplitudes exactly 0.0) are
-exponentiated in closed form, since the drift is diagonal; all other segments
-go through one stacked eigendecomposition.  One schedule is a batch of one.
+into one table and go through one stacked eigendecomposition, free-drift
+segments included (LAPACK returns the exact eigenbasis of the diagonal drift,
+so their propagators equal the closed form bit for bit).  One schedule is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .errors import NonHermitian
 from .linalg import I2, SIGMA_X, SIGMA_Y, ZZ, expm_hermitian, kron, nearest_unitary, unitary4
 from .schedule import Schedule
 
 # Drift per hertz of coupling, H_d = J * DRIFT_TERM; diagonal.
 DRIFT_TERM = (np.pi / 2) * ZZ
-_DRIFT_DIAGONAL = np.diagonal(DRIFT_TERM).real
-# Pads a shorter schedule in a batch: a zero-length drift at J = 0, whose
-# closed-form propagator is exactly the identity.
+# Pads a shorter schedule in a batch: a zero-length step with H = 0, whose
+# propagator is exactly the identity.
 _IDLE = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 # Control operators H1..H4 = pi * (x/y on qubit 1/2); J-independent.
@@ -68,30 +69,23 @@ def _propagate(schedules: list[Schedule]) -> np.ndarray:
         ],
         dtype=float,
     ).reshape(-1, 6)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        p, b = divmod(int(np.argmin(finite)), len(schedules))
+        raise NonHermitian(f"schedule {b}, segment {p}: coupling or amplitude is NaN or Inf")
     duration, amplitudes, coupling = table[:, 0], table[:, 1:5], table[:, 5]
 
-    steps = np.zeros((len(table), 4, 4), dtype=complex)
-    # A non-finite J or amplitude leaves NaN entries (inf * 0), which
-    # hermitian4 and the final unitary4 reject; numpy's warning about them
-    # would only repeat that error.
-    with np.errstate(invalid="ignore"):
-        # Free drift: J * DRIFT_TERM is diagonal, so its exponential is too.
-        free = (amplitudes == 0.0).all(axis=1)
-        w = coupling[free, None] * _DRIFT_DIAGONAL
-        steps.reshape(-1, 16)[free, ::5] = np.exp(-1j * duration[free, None] * w)
-        # Pulsed: H = H_d + v1 H1 + ... + v4 H4, summed left to right; one stacked eigh.
-        pulsed = ~free
-        if pulsed.any():
-            v = amplitudes[pulsed]
-            h = coupling[pulsed, None, None] * DRIFT_TERM
-            for k, term in enumerate(CONTROL_TERMS):
-                h = h + v[:, k, None, None] * term
-            steps[pulsed] = expm_hermitian(h, duration[pulsed])
+    # H = H_d + v1 H1 + ... + v4 H4, summed left to right; one stacked eigh.
+    h = coupling[:, None, None] * DRIFT_TERM
+    for k, term in enumerate(CONTROL_TERMS):
+        h = h + amplitudes[:, k, None, None] * term
+    steps = expm_hermitian(h, duration)
 
     # Time-ordered product, one segment position at a time across the batch.
     u = np.tile(np.eye(4, dtype=complex), (len(schedules), 1, 1))
     for step in steps.reshape(-1, len(schedules), 4, 4):
         u = step @ u
+    # Finite inputs can still overflow the phase t * w to inf, leaving NaN.
     return unitary4(u)
 
 

@@ -76,3 +76,38 @@ def test_tracer_observes_min_time():
     # CNOT has a double root and SWAP a triple root; the Haar gate has neither.
     assert metrics["mintime.depress.tangent_frac"][0] == pytest.approx(2 / 3)
     assert metrics["mintime.min_time.calls_per_gate"][0] == 1.0
+
+
+def test_tracer_observes_simulate():
+    """A traced batch_verify of the benchmark's schedule kinds, then one
+    evolve per schedule: every segment row, drift and padding included,
+    reaches ``expm_hermitian`` in one call per propagation.  These schedules
+    have at least 5 segments, the sizes the benchmark runs."""
+    importlib.import_module("spinpair.cli")  # install() resolves every traced module
+    specs = [
+        GateSpec.cnot(),
+        GateSpec.swap(),
+        GateSpec.sqrt_swap(),
+        GateSpec.controlled_u(0.3, 0.2, 0.1),
+        GateSpec.custom(bench_module("gen").haar_batch(3, 1)[0]),
+    ]
+    schedules = [synthesize(spec, 1.0, 1e4) for spec in specs]
+    counts = [len(s.segments) for s in schedules]
+    original = spinpair.batch_verify
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        tracer.gate = 0
+        spinpair.batch_verify(schedules, [spec.unitary() for spec in specs])
+        for i, s in enumerate(schedules):
+            tracer.gate = i
+            spinpair.evolve(s)
+    finally:
+        tracer.uninstall()
+    assert spinpair.batch_verify is original
+    gates = len(schedules)
+    metrics = SPANS.layer_metrics(tracer, gates)
+    assert metrics["linalg.expm_hermitian.calls_per_gate"][0] == (1 + gates) / gates
+    stacks = [len(h) for h in tracer.observed["linalg.expm_hermitian"]]
+    assert stacks == [max(counts) * gates, *counts]
+    assert min(counts) >= 5

@@ -448,6 +448,87 @@ class TestScheduleTarget:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+STRING_IDENTITY = {"re": [[str(x) for x in row] for row in np.eye(4).tolist()],
+                   "im": np.zeros((4, 4)).tolist()}
+
+# (matrix object, error message), in a --matrix file or a custom target.
+MATRIX_CASES = {
+    "strings": (STRING_IDENTITY, "matrix 're' row must be an array of numbers, "
+                                 "got ['1.0', '0.0', '0.0', '0.0']"),
+    "extra-key": ({**IDENTITY_DICT, "scale": 2.0}, "a matrix takes only 're' and 'im', not scale"),
+}
+
+# (path of keys and indices into a cu(1, 2, 3) schedule dict, value set
+# there, error message).  float() and np.array take every value, so each
+# file loads at the parent of this rule.
+JSON_TYPE_CASES = {
+    "v-string": (("segments", 0, "v"), "1234",
+                 "malformed schedule: segment 0 'v' must be an array of numbers, got '1234'"),
+    "gamma-string": (("target", "gamma"), "123",
+                     "malformed gate description: 'gamma' must be an array of numbers, got '123'"),
+    "duration-string": (("segments", 0, "duration_s"), "0.5",
+                        "malformed schedule: segment 0 'duration_s' must be a number, got '0.5'"),
+    "duration-bool": (("segments", 0, "duration_s"), True,
+                      "malformed schedule: segment 0 'duration_s' must be a number, got True"),
+    "coupling-string": (("coupling_j_hz",), "2",
+                        "malformed schedule: 'coupling_j_hz' must be a number, got '2'"),
+    "coupling-bool": (("coupling_j_hz",), True,
+                      "malformed schedule: 'coupling_j_hz' must be a number, got True"),
+    "strength-string": (("pulse_strength_n",), "1000",
+                        "malformed schedule: 'pulse_strength_n' must be a number, got '1000'"),
+    "v-strings": (("segments", 0, "v"), ["0", "1", "0", "0"],
+                  "malformed schedule: segment 0 'v' must be an array of numbers, "
+                  "got ['0', '1', '0', '0']"),
+    "v-bools": (("segments", 0, "v"), [False, True, False, False],
+                "malformed schedule: segment 0 'v' must be an array of numbers, "
+                "got [False, True, False, False]"),
+    "gamma-bools": (("target", "gamma"), [True, False, False],
+                    "malformed gate description: 'gamma' must be an array of numbers, "
+                    "got [True, False, False]"),
+    "segments-object": (("segments",), {},
+                        "malformed schedule: 'segments' must be an array, got {}"),
+    **{
+        f"matrix-{case}": (("target",), {"name": "custom", "matrix": matrix}, message)
+        for case, (matrix, message) in MATRIX_CASES.items()
+    },
+}
+
+
+class TestJsonTypes:
+    """Schedule files and matrix files hold JSON numbers and arrays only, and
+    a matrix holds only 're' and 'im'.  Each file below passes ``verify
+    --threshold 0`` if a bool, a numeric string or an object is read as a
+    number or an array."""
+
+    @staticmethod
+    def cu_schedule(tmp_path, path=(), value=None):
+        data = synthesize(GateSpec.controlled_u(1, 2, 3), 1.0, 1000.0).to_dict()
+        if path:
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        file = tmp_path / "cu.sched"
+        file.write_text(json.dumps(data))
+        return str(file)
+
+    @pytest.mark.parametrize("case", list(JSON_TYPE_CASES))
+    def test_schedule_file(self, capsys, tmp_path, case):
+        path, value, message = JSON_TYPE_CASES[case]
+        schedule = self.cu_schedule(tmp_path, path, value)
+        code, out, err = run_cli(capsys, "verify", "--schedule", schedule, "--threshold", "0")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("case", list(MATRIX_CASES))
+    def test_matrix_file(self, capsys, tmp_path, case):
+        matrix, message = MATRIX_CASES[case]
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(matrix))
+        code, out, err = run_cli(capsys, "verify", "--schedule", self.cu_schedule(tmp_path),
+                                 "--matrix", str(path), "--threshold", "0")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestShellEntryPoint:
     """``python -m spinpair.cli`` with every warning an error."""
 
@@ -692,6 +773,18 @@ class TestNonFiniteSchedule:
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "NaN or Inf" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("v", [[0.0] * 4, [1e200, 0.0, 0.0, 0.0]], ids=["drift", "pulse"])
+    def test_overflowing_phase_exits_2(self, capsys, tmp_path, command, v):
+        # Every input is finite, but the phase duration * eigenvalue is not.
+        segments = [{"duration_s": 1e200, "v": v}]
+        path = schedule_file(tmp_path / "huge.sched", 1e200, segments=segments, n=1e201)
+        code, out, err = run_cli(capsys, command, "--schedule", path)
+        assert (code, out, err) == (
+            2, "", "error: matrix contains NaN or Inf entries (stack index [0])\n"
+        )
 
 
 class TestNonPositiveSchedule:

@@ -231,9 +231,38 @@ class TestDriftTime:
             Schedule.from_dict({**s.to_dict(), "pulse_strength_n": n})
 
 
+class TestPythonInput:
+    """From Python, ``from_dict`` also takes tuples, numpy arrays and numpy
+    numbers where a JSON file holds arrays and numbers; bools stay refused."""
+
+    def test_numpy_values_load(self):
+        s = synthesize(GateSpec.controlled_u(0.3, -0.2, 0.1), 1.0, 1000.0)
+        data = s.to_dict()
+        data["coupling_j_hz"] = np.float32(1.0)
+        data["pulse_strength_n"] = np.int64(1000)
+        data["target"]["gamma"] = tuple(np.float64(g) for g in data["target"]["gamma"])
+        data["segments"] = tuple(
+            {"duration_s": np.float64(seg["duration_s"]), "v": np.array(seg["v"])}
+            for seg in data["segments"]
+        )
+        assert Schedule.from_dict(data).to_dict() == s.to_dict()
+
+    def test_numpy_matrix_loads(self):
+        m = matrix_from_dict({"re": np.eye(4), "im": np.zeros((4, 4), dtype=np.float32)})
+        assert m.tobytes() == np.eye(4, dtype=complex).tobytes()
+
+    def test_numpy_bools_refused(self):
+        data = synthesize(GateSpec.cnot(), 1.0, 1000.0).to_dict()
+        data["segments"][0]["v"] = np.zeros(4, dtype=bool)
+        with pytest.raises(ScheduleFormatError, match="segment 0 'v' must be an array of numbers"):
+            Schedule.from_dict(data)
+
+
 class TestDriftRule:
-    """A segment is free drift iff all four amplitudes are exactly 0.0
-    (with propagation: tests/test_simulate.py::TestSkippedWork)."""
+    """A segment is free drift iff all four amplitudes are exactly 0.0; the
+    rule feeds the drift time only, since propagation diagonalizes every
+    segment (tests/test_simulate.py::TestClosedFormReference pins drift
+    segments to the closed form)."""
 
     @pytest.mark.parametrize(
         "v,drift",

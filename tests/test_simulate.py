@@ -1,4 +1,5 @@
 import json
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import spinpair.linalg
 from spinpair.errors import NonHermitian, NonUnitary
 from spinpair.gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP
-from spinpair.linalg import max_norm
+from spinpair.linalg import expm_hermitian, max_norm, unitary4
 from spinpair.schedule import (
     ControlAmplitudes,
     GateSpec,
@@ -18,13 +19,14 @@ from spinpair.schedule import (
 from spinpair.simulate import (
     CONTROL_TERMS,
     DRIFT_TERM,
+    _propagate,
     batch_verify,
     evolve,
     fidelity,
     verify,
 )
 
-from conftest import haar_unitary
+from conftest import bench_module, haar_unitary
 
 
 def empty_schedule():
@@ -64,6 +66,43 @@ def reference_propagator(schedule):
         w, vecs = np.linalg.eigh(h)
         u = (vecs * np.exp(-1j * t * w)) @ vecs.conj().T @ u
     return u
+
+
+_DRIFT_DIAGONAL = np.diagonal(DRIFT_TERM).real
+_IDLE = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _reference_propagate(schedules):
+    """The earlier two-path ``_propagate``, kept as written: free-drift rows
+    (all four amplitudes exactly 0.0) in closed form, the rest through one
+    stacked eigh, and a unitarity check of the product."""
+    table = np.array(
+        [
+            _IDLE if seg is None else (seg.duration, *seg.amplitudes.as_tuple(), s.coupling_j)
+            for row in zip_longest(*(s.segments for s in schedules))
+            for s, seg in zip(schedules, row)
+        ],
+        dtype=float,
+    ).reshape(-1, 6)
+    duration, amplitudes, coupling = table[:, 0], table[:, 1:5], table[:, 5]
+
+    steps = np.zeros((len(table), 4, 4), dtype=complex)
+    with np.errstate(invalid="ignore"):
+        free = (amplitudes == 0.0).all(axis=1)
+        w = coupling[free, None] * _DRIFT_DIAGONAL
+        steps.reshape(-1, 16)[free, ::5] = np.exp(-1j * duration[free, None] * w)
+        pulsed = ~free
+        if pulsed.any():
+            v = amplitudes[pulsed]
+            h = coupling[pulsed, None, None] * DRIFT_TERM
+            for k, term in enumerate(CONTROL_TERMS):
+                h = h + v[:, k, None, None] * term
+            steps[pulsed] = expm_hermitian(h, duration[pulsed])
+
+    u = np.tile(np.eye(4, dtype=complex), (len(schedules), 1, 1))
+    for step in steps.reshape(-1, len(schedules), 4, 4):
+        u = step @ u
+    return unitary4(u)
 
 
 def mixed_batch(rng):
@@ -285,13 +324,25 @@ class TestInvalidInput:
             evolve(bad)
 
     def test_nan_coupling_drift_only(self):
-        # closed-form drift: caught by the unitarity check of the product
-        with pytest.raises(NonUnitary, match="NaN or Inf"):
+        # checked in the segment table, before any arithmetic
+        with pytest.raises(NonHermitian, match="schedule 0, segment 0: .* NaN or Inf"):
             evolve(drift_only(0.5, j=float("nan")))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("v0", [0.0, 1e200], ids=["drift", "pulse"])
+    def test_overflowing_phase_is_non_unitary(self, v0):
+        # finite inputs whose phase duration * eigenvalue overflows: caught
+        # by the unitarity check of the product
+        segment = PulseSegment(1e200, ControlAmplitudes(v0, 0.0, 0.0, 0.0))
+        s = Schedule((segment,), 1e200, 1e201, GateSpec.cnot())
+        with pytest.raises(NonUnitary, match="NaN or Inf"):
+            evolve(s)
+        with pytest.raises(NonUnitary, match=r"stack index \[1\]"):
+            batch_verify([drift_only(0.5), s], [IDENTITY4, CNOT])
 
     def test_one_bad_schedule_fails_the_batch(self):
         good = synthesize(GateSpec.cnot(), 1.0, 1000.0)
-        with pytest.raises(NonUnitary, match=r"stack index \[1\]"):
+        with pytest.raises(NonHermitian, match="schedule 1, segment 0: "):
             batch_verify([good, drift_only(0.5, j=float("nan"))], [CNOT, IDENTITY4])
 
 
@@ -319,16 +370,48 @@ class TestSkippedWork:
         "v0,pulsed", [(1e-16, True), (-0.0, False)], ids=["tiny-amplitude", "minus-zero"]
     )
     def test_drift_rule_matches_drift_time(self, eigh_calls, v0, pulsed):
-        # The segment that propagation diagonalizes is the one the drift
-        # time leaves out, and vice versa.
+        # Only the drift time reads the rule; propagation diagonalizes every
+        # segment, drift or pulse.
         segment = PulseSegment(0.5, ControlAmplitudes(v0, 0.0, 0.0, 0.0))
         s = Schedule((segment,), 1.0, 100.0, GateSpec.custom(IDENTITY4))
         evolve(s)
-        assert eigh_calls == ([(1, 4, 4)] if pulsed else [])
+        assert eigh_calls == [(1, 4, 4)]
         assert s.declared_drift_time == (0.0 if pulsed else 0.5)
 
-    def test_drift_only_needs_no_eigh(self, eigh_calls):
-        evolve(drift_only(0.5))
-        r = verify(drift_only(0.25, j=2.0), IDENTITY4)
-        assert eigh_calls == []
-        assert r.drift_time == 0.25
+
+def reference_set():
+    """Named, cu, Haar and chamber-edge schedules at J from 1e-4 to 1e4,
+    drift-only schedules and the empty schedule."""
+    rng = np.random.default_rng(15)
+    gen = bench_module("gen")
+    specs = [GateSpec.cnot(), GateSpec.swap(), GateSpec.sqrt_swap()]
+    specs.append(GateSpec.controlled_u(*rng.uniform(-1.2, 1.2, size=3)))
+    specs += [GateSpec.custom(u) for u in gen.haar_batch(15, 2)]
+    specs += [GateSpec.custom(g.matrix) for g in gen.boundary_gates(15, 4)]
+    schedules = [
+        synthesize(spec, float(j), ratio * float(j))
+        for j in np.geomspace(1e-4, 1e4, 17)
+        for ratio in (10.0, 1e4)
+        for spec in specs
+    ]
+    schedules += [
+        drift_only(duration, j)
+        for j in (1e-3, 0.7, 1.0, 3.3, 1e3)
+        for duration in (1e-6, 0.25, 0.5, 7.3)
+    ]
+    schedules.append(empty_schedule())
+    return schedules
+
+
+class TestClosedFormReference:
+    def test_one_path_is_bit_equal(self):
+        # Drift segments come out of the stacked eigh exactly as in closed
+        # form: LAPACK returns the exact eigenbasis of the diagonal drift.
+        schedules = reference_set()
+        want = _reference_propagate(schedules)
+        single = np.array([_propagate([s])[0] for s in schedules])
+        batched = np.concatenate(
+            [_propagate(schedules[i : i + 32]) for i in range(0, len(schedules), 32)]
+        )
+        assert single.tobytes() == want.tobytes()
+        assert batched.tobytes() == want.tobytes()
