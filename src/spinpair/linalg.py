@@ -113,7 +113,8 @@ def expm_hermitian(h, t: float | np.ndarray) -> np.ndarray:
     broadcasts against the stack's leading shape; all matrices go through
     one stacked ``eigh``.  The result is unitary to machine precision
     because the eigenvalue phases are exponentiated exactly and the
-    eigenvector matrix is orthonormal.
+    eigenvector matrix is orthonormal, as long as each phase t * w is finite;
+    where it overflows to inf, that matrix holds NaN instead.
     """
     h = hermitian4(h)
     w, v = np.linalg.eigh(h)

@@ -37,6 +37,7 @@ from __future__ import annotations
 import contextvars
 import json
 import math
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -106,48 +107,60 @@ def matrix_to_dict(m: np.ndarray) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _require_numbers(where: str, value, array: bool = False) -> None:
-    """ScheduleFormatError unless ``value`` is a number (a JSON number, or
-    from Python a numpy integer or float; never a bool or a str), or with
-    ``array`` a JSON array (list, tuple or numpy array) of them.
+def _number(where: str, value) -> float:
+    """``value`` as a float if it is a JSON number (from Python, also a numpy
+    integer or float; never a bool), else ScheduleFormatError naming ``where``."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ScheduleFormatError(f"{where} must be a number, got {value!r}")
 
-    The readers call it after their own float conversions, which also take
-    bools, numeric strings and other iterables, so input those conversions
-    refuse keeps its message.
-    """
-    items = value if array else [value]
-    if (array and not isinstance(value, (list, tuple, np.ndarray))) or not all(
-        isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
-        for x in items
-    ):
-        kind = "an array of numbers" if array else "a number"
-        raise ScheduleFormatError(f"{where} must be {kind}, got {value!r}")
+
+def _array(where: str, value):
+    """``value`` if it is a JSON array (from Python, also a tuple or a numpy array)."""
+    if isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim > 0):
+        return value
+    raise ScheduleFormatError(f"{where} must be an array, got {value!r}")
+
+
+def _numbers(where: str, value) -> list[float]:
+    """An array of numbers, read as floats in one pass."""
+    try:
+        return [_number(where, x) for x in _array(where, value)]
+    except ScheduleFormatError:
+        raise ScheduleFormatError(f"{where} must be an array of numbers, got {value!r}") from None
+
+
+def _object(where: str, value) -> Mapping:
+    """``value`` if it is a JSON object (from Python, any mapping)."""
+    if not isinstance(value, Mapping):
+        raise ScheduleFormatError(f"{where} must be an object, got {value!r}")
+    return value
 
 
 def matrix_from_dict(data) -> np.ndarray:
     """Inverse of ``matrix_to_dict``; ScheduleFormatError unless exactly two
     4x4 arrays of numbers, 're' and 'im'."""
-    try:
-        re = np.array(data["re"], dtype=float)
-        im = np.array(data["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScheduleFormatError(f"matrix must have 4x4 're' and 'im' arrays: {exc}") from exc
-    if re.shape != (4, 4) or im.shape != (4, 4):
-        raise ScheduleFormatError("matrix 're' and 'im' arrays must be 4x4, row-major")
+    parts = []
+    for key in ("re", "im"):
+        if key not in _object("matrix", data):
+            raise ScheduleFormatError(f"matrix must have 4x4 're' and 'im' arrays: '{key}'")
+        rows = [_numbers(f"matrix '{key}' row", r) for r in _array(f"matrix '{key}'", data[key])]
+        if len(rows) != 4 or any(len(row) != 4 for row in rows):
+            raise ScheduleFormatError(f"matrix '{key}' must be a 4x4 array, row-major")
+        parts.append(rows)
     unused = sorted(set(data) - {"re", "im"})
     if unused:
         raise ScheduleFormatError(f"a matrix takes only 're' and 'im', not {', '.join(unused)}")
-    for key in ("re", "im"):
-        for row in data[key]:
-            _require_numbers(f"matrix '{key}' row", row, array=True)
-    return re + 1j * im
+    re, im = np.array(parts)
+    with np.errstate(invalid="ignore"):  # 1j * inf is NaN + inf j, which unitary4 rejects
+        return re + 1j * im
 
 
 def read_json(path, what: str):
     """The JSON document in a file; ScheduleFormatError unless it is UTF-8 JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=float)  # so 10**400 reads as inf, as 1e400 does
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ScheduleFormatError(f"{what} is not valid JSON: {exc}") from exc
 
@@ -221,9 +234,9 @@ class GateSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "GateSpec":
         try:
-            name = data["name"]
+            name = _object("malformed gate description: a target", data)["name"]
             if name == "cu":
-                gamma = data["gamma"]
+                gamma = _numbers("malformed gate description: 'gamma'", data["gamma"])
                 if len(gamma) != 3:
                     raise ScheduleFormatError(
                         f"malformed gate description: cu needs 3 gamma values, got {len(gamma)}"
@@ -233,7 +246,7 @@ class GateSpec:
                 spec = cls.custom(matrix_from_dict(data["matrix"]))
             else:
                 spec = cls(name=name)
-        except (KeyError, TypeError, IndexError) as exc:
+        except KeyError as exc:
             raise ScheduleFormatError(f"malformed gate description: {exc}") from exc
         keys = {"cu": {"name", "gamma"}, "custom": {"name", "matrix"}}.get(spec.name, {"name"})
         unused = sorted(set(data) - keys)
@@ -241,8 +254,6 @@ class GateSpec:
             raise ScheduleFormatError(
                 f"malformed gate description: a {spec.name} target takes no {', '.join(unused)}"
             )
-        if spec.name == "cu":
-            _require_numbers("malformed gate description: 'gamma'", data["gamma"], array=True)
         return spec
 
     def label(self) -> str:
@@ -291,34 +302,21 @@ class Schedule:
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
         try:
+            data = _object("malformed schedule: a schedule", data)
             segments = []
-            for i, seg in enumerate(data["segments"]):
-                duration = float(seg["duration_s"])
-                v = [float(x) for x in seg["v"]]
+            for i, seg in enumerate(_array("malformed schedule: 'segments'", data["segments"])):
+                where = f"malformed schedule: segment {i}"
+                duration = _number(f"{where} 'duration_s'", _object(where, seg)["duration_s"])
+                v = _numbers(f"{where} 'v'", seg["v"])
                 if len(v) != 4:
-                    raise ScheduleFormatError(
-                        f"malformed schedule: segment {i} needs 4 amplitudes, got {len(v)}"
-                    )
+                    raise ScheduleFormatError(f"{where} needs 4 amplitudes, got {len(v)}")
                 segments.append(PulseSegment(duration, ControlAmplitudes(*v)))
             target = GateSpec.from_dict(data["target"])
-            schedule = cls(
-                segments=tuple(segments),
-                coupling_j=float(data["coupling_j_hz"]),
-                pulse_strength_n=float(data["pulse_strength_n"]),
-                target=target,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            j = _number("malformed schedule: 'coupling_j_hz'", data["coupling_j_hz"])
+            n = _number("malformed schedule: 'pulse_strength_n'", data["pulse_strength_n"])
+            return cls(tuple(segments), j, n, target)
+        except (KeyError, ValueError) as exc:
             raise ScheduleFormatError(f"malformed schedule: {exc}") from exc
-        if not isinstance(data["segments"], (list, tuple)):
-            raise ScheduleFormatError(
-                f"malformed schedule: 'segments' must be an array, got {data['segments']!r}"
-            )
-        for key in ("coupling_j_hz", "pulse_strength_n"):
-            _require_numbers(f"malformed schedule: '{key}'", data[key])
-        for i, seg in enumerate(data["segments"]):
-            _require_numbers(f"malformed schedule: segment {i} 'duration_s'", seg["duration_s"])
-            _require_numbers(f"malformed schedule: segment {i} 'v'", seg["v"], array=True)
-        return schedule
 
 
 def save_schedule(schedule: Schedule, path) -> None:

@@ -76,16 +76,18 @@ def _propagate(schedules: list[Schedule]) -> np.ndarray:
     duration, amplitudes, coupling = table[:, 0], table[:, 1:5], table[:, 5]
 
     # H = H_d + v1 H1 + ... + v4 H4, summed left to right; one stacked eigh.
-    h = coupling[:, None, None] * DRIFT_TERM
-    for k, term in enumerate(CONTROL_TERMS):
-        h = h + amplitudes[:, k, None, None] * term
-    steps = expm_hermitian(h, duration)
+    # Finite input can still overflow H, or the phase t * w to inf, leaving
+    # inf or NaN: hermitian4 and the final unitary4 reject it, without warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = coupling[:, None, None] * DRIFT_TERM
+        for k, term in enumerate(CONTROL_TERMS):
+            h = h + amplitudes[:, k, None, None] * term
+        steps = expm_hermitian(h, duration)
 
     # Time-ordered product, one segment position at a time across the batch.
     u = np.tile(np.eye(4, dtype=complex), (len(schedules), 1, 1))
     for step in steps.reshape(-1, len(schedules), 4, 4):
         u = step @ u
-    # Finite inputs can still overflow the phase t * w to inf, leaving NaN.
     return unitary4(u)
 
 

@@ -435,9 +435,12 @@ class TestScheduleTarget:
              "malformed gate description: a cu target takes no matrix"),
             ({"name": "custom", "matrix": IDENTITY_DICT, "gamma": [0.1, 0.2, 0.3]},
              "malformed gate description: a custom target takes no gamma"),
+            ({"name": ["cu"]}, "malformed schedule: unknown gate name ['cu']"),
+            ({"name": None}, "malformed schedule: unknown gate name None"),
+            ("cnot", "malformed gate description: a target must be an object, got 'cnot'"),
         ],
         ids=["unknown-name", "no-name", "two-gammas", "four-gammas", "cnot-gamma",
-             "cu-matrix", "custom-gamma"],
+             "cu-matrix", "custom-gamma", "array-name", "null-name", "string-target"],
     )
     def test_rejected_with_one_error_line(self, capsys, tmp_path, target, message):
         data = synthesize(GateSpec.controlled_u(0.1, 0.2, 0.3), 1.0, 1000.0).to_dict()
@@ -451,16 +454,47 @@ class TestScheduleTarget:
 STRING_IDENTITY = {"re": [[str(x) for x in row] for row in np.eye(4).tolist()],
                    "im": np.zeros((4, 4)).tolist()}
 
+# One value of each JSON type that no reader field takes, then an array where
+# a number belongs and a number where an array belongs.
+WRONG_TYPES = {"text": "0.5", "false": False, "null": None, "object": {"x": 1.0}, "nested": [[1.0]]}
+NOT_A_NUMBER, NOT_AN_ARRAY = {"array": [1.0]}, {"number": 1.0}
+
+
+def with_value(data, path, value):
+    """A deep copy of ``data`` with ``value`` set at the keys and indices ``path``."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
 # (matrix object, error message), in a --matrix file or a custom target.
 MATRIX_CASES = {
     "strings": (STRING_IDENTITY, "matrix 're' row must be an array of numbers, "
                                  "got ['1.0', '0.0', '0.0', '0.0']"),
     "extra-key": ({**IDENTITY_DICT, "scale": 2.0}, "a matrix takes only 're' and 'im', not scale"),
+    **{
+        f"{field}-as-{kind}": (with_value(IDENTITY_DICT, path, value), f"{where}, got {value!r}")
+        for field, path, where in [
+            ("re", ("re",), "matrix 're' must be an array"),
+            ("im-row", ("im", 3), "matrix 'im' row must be an array of numbers"),
+        ]
+        for kind, value in {**WRONG_TYPES, **NOT_AN_ARRAY}.items()
+        if kind != "nested" or field != "re"
+    },
+    "re-as-nested": (with_value(IDENTITY_DICT, ("re",), [[1.0]]),
+                  "matrix 're' must be a 4x4 array, row-major"),
+    "im-infinity": (with_value(IDENTITY_DICT, ("im", 0, 0), float("inf")),
+                    "matrix contains NaN or Inf entries"),
 }
 
 # (path of keys and indices into a cu(1, 2, 3) schedule dict, value set
-# there, error message).  float() and np.array take every value, so each
-# file loads at the parent of this rule.
+# there, error message).  float(), iteration and np.array accept the eleven
+# values written out and the first two MATRIX_CASES, so those files load if
+# the type checks are skipped; the generated cases put every reader field
+# through each wrong JSON type.
 JSON_TYPE_CASES = {
     "v-string": (("segments", 0, "v"), "1234",
                  "malformed schedule: segment 0 'v' must be an array of numbers, got '1234'"),
@@ -488,26 +522,51 @@ JSON_TYPE_CASES = {
     "segments-object": (("segments",), {},
                         "malformed schedule: 'segments' must be an array, got {}"),
     **{
+        f"{field}-as-{kind}": (path, value, f"{where}, got {value!r}")
+        for field, path, where, shape in [
+            ("coupling", ("coupling_j_hz",), "malformed schedule: 'coupling_j_hz' must be a number",
+             NOT_A_NUMBER),
+            ("strength", ("pulse_strength_n",),
+             "malformed schedule: 'pulse_strength_n' must be a number", NOT_A_NUMBER),
+            ("duration", ("segments", 2, "duration_s"),
+             "malformed schedule: segment 2 'duration_s' must be a number", NOT_A_NUMBER),
+            ("v", ("segments", 2, "v"),
+             "malformed schedule: segment 2 'v' must be an array of numbers", NOT_AN_ARRAY),
+            ("gamma", ("target", "gamma"),
+             "malformed gate description: 'gamma' must be an array of numbers", NOT_AN_ARRAY),
+            ("segments", ("segments",), "malformed schedule: 'segments' must be an array",
+             NOT_AN_ARRAY),
+        ]
+        for kind, value in {**WRONG_TYPES, **shape}.items()
+        if (field, kind) != ("segments", "nested")
+    },
+    "segments-as-nested": (("segments",), [[1.0]],
+                        "malformed schedule: segment 0 must be an object, got [1.0]"),
+    "segment-null": (("segments", 1), None,
+                     "malformed schedule: segment 1 must be an object, got None"),
+    **{
         f"matrix-{case}": (("target",), {"name": "custom", "matrix": matrix}, message)
         for case, (matrix, message) in MATRIX_CASES.items()
     },
 }
 
 
+# Python's own conversion errors, which no error line shows.
+PYTHON_TEXT = ("float() argument", "could not convert", "not iterable", "has no len()",
+               "inhomogeneous")
+
+
 class TestJsonTypes:
     """Schedule files and matrix files hold JSON numbers and arrays only, and
-    a matrix holds only 're' and 'im'.  Each file below passes ``verify
-    --threshold 0`` if a bool, a numeric string or an object is read as a
-    number or an array."""
+    a matrix holds only 're' and 'im'.  A bool, a numeric string or an object
+    read as a number or an array would let the first files pass ``verify
+    --threshold 0``; every error line names the field."""
 
     @staticmethod
     def cu_schedule(tmp_path, path=(), value=None):
         data = synthesize(GateSpec.controlled_u(1, 2, 3), 1.0, 1000.0).to_dict()
         if path:
-            node = data
-            for key in path[:-1]:
-                node = node[key]
-            node[path[-1]] = value
+            data = with_value(data, path, value)
         file = tmp_path / "cu.sched"
         file.write_text(json.dumps(data))
         return str(file)
@@ -517,6 +576,7 @@ class TestJsonTypes:
         path, value, message = JSON_TYPE_CASES[case]
         schedule = self.cu_schedule(tmp_path, path, value)
         code, out, err = run_cli(capsys, "verify", "--schedule", schedule, "--threshold", "0")
+        assert not any(text in err for text in PYTHON_TEXT)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("case", list(MATRIX_CASES))
@@ -526,6 +586,7 @@ class TestJsonTypes:
         path.write_text(json.dumps(matrix))
         code, out, err = run_cli(capsys, "verify", "--schedule", self.cu_schedule(tmp_path),
                                  "--matrix", str(path), "--threshold", "0")
+        assert not any(text in err for text in PYTHON_TEXT)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -734,7 +795,9 @@ class TestAmplitudeCount:
 
 class TestNonFiniteSchedule:
     @pytest.mark.parametrize("command", ["verify", "simulate"])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    # A JSON integer past the double range reads as infinite, as 1e400 does.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "huge-integer"])
     def test_non_finite_amplitude_exits_2(self, capsys, tmp_path, command, bad):
         path = schedule_file(tmp_path / "bad.sched", v0=[0.0, bad, 0.0, 0.0])
         code, out, err = run_cli(capsys, command, "--schedule", path)
@@ -774,13 +837,27 @@ class TestNonFiniteSchedule:
         assert err.count("\n") == 1
         assert err.startswith("error: ") and "NaN or Inf" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     @pytest.mark.parametrize("v", [[0.0] * 4, [1e200, 0.0, 0.0, 0.0]], ids=["drift", "pulse"])
     def test_overflowing_phase_exits_2(self, capsys, tmp_path, command, v):
         # Every input is finite, but the phase duration * eigenvalue is not.
         segments = [{"duration_s": 1e200, "v": v}]
         path = schedule_file(tmp_path / "huge.sched", 1e200, segments=segments, n=1e201)
+        code, out, err = run_cli(capsys, command, "--schedule", path)
+        assert (code, out, err) == (
+            2, "", "error: matrix contains NaN or Inf entries (stack index [0])\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize(
+        "coupling, v0", [(1.0, [0.0, 1e308, 0.0, 250.0]), (1.5e308, None)],
+        ids=["amplitude", "coupling"],
+    )
+    def test_overflowing_hamiltonian_exits_2(self, capsys, tmp_path, command, coupling, v0):
+        # Every input is finite, but pi * v or the drift J * pi / 2 is not.
+        path = schedule_file(tmp_path / "huge.sched", coupling, v0=v0)
         code, out, err = run_cli(capsys, command, "--schedule", path)
         assert (code, out, err) == (
             2, "", "error: matrix contains NaN or Inf entries (stack index [0])\n"

@@ -21,8 +21,9 @@ from spinpair.schedule import (
     save_schedule,
     synthesize,
 )
+from spinpair.simulate import evolve
 
-from conftest import random_su2
+from conftest import haar_unitary, random_su2
 
 
 class TestEulerXYX:
@@ -256,6 +257,27 @@ class TestPythonInput:
         data["segments"][0]["v"] = np.zeros(4, dtype=bool)
         with pytest.raises(ScheduleFormatError, match="segment 0 'v' must be an array of numbers"):
             Schedule.from_dict(data)
+
+
+class TestAcceptedInput:
+    """A file the readers accept loads to the schedule that was saved."""
+
+    def test_round_trip_is_exact(self):
+        rng = np.random.default_rng(16)
+        specs = [GateSpec.cnot(), GateSpec.swap(), GateSpec.sqrt_swap()]
+        specs += [GateSpec.controlled_u(*rng.uniform(-np.pi, np.pi, 3)) for _ in range(40)]
+        specs += [GateSpec.custom(haar_unitary(rng)) for _ in range(50)]
+        for spec in specs:
+            for j in (1.0, 2.5):
+                for n in (50.0, 1e3):
+                    s = synthesize(spec, j, n)
+                    again = Schedule.from_dict(json.loads(json.dumps(s.to_dict())))
+                    # GateSpec.custom snaps the matrix it reads to the nearest
+                    # unitary again, which can move its last bits.
+                    if spec.name == "custom":
+                        s = Schedule(s.segments, j, n, GateSpec.custom(s.target.matrix))
+                    assert again.to_dict() == s.to_dict()
+                    assert evolve(again).tobytes() == evolve(s).tobytes()
 
 
 class TestDriftRule:

@@ -328,7 +328,7 @@ class TestInvalidInput:
         with pytest.raises(NonHermitian, match="schedule 0, segment 0: .* NaN or Inf"):
             evolve(drift_only(0.5, j=float("nan")))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning beside the error
     @pytest.mark.parametrize("v0", [0.0, 1e200], ids=["drift", "pulse"])
     def test_overflowing_phase_is_non_unitary(self, v0):
         # finite inputs whose phase duration * eigenvalue overflows: caught
@@ -339,6 +339,20 @@ class TestInvalidInput:
             evolve(s)
         with pytest.raises(NonUnitary, match=r"stack index \[1\]"):
             batch_verify([drift_only(0.5), s], [IDENTITY4, CNOT])
+
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning beside the error
+    @pytest.mark.parametrize(
+        "v2, j", [(1e308, 1.0), (500.0, 1.5e308)], ids=["amplitude", "coupling"]
+    )
+    def test_overflowing_hamiltonian_is_non_hermitian(self, v2, j):
+        # finite inputs whose H overflows: pi * v2, or the drift J * pi / 2
+        s = synthesize(GateSpec.cnot(), 1.0, 1000.0)
+        first = PulseSegment(s.segments[0].duration, ControlAmplitudes(0.0, v2, 0.0, 250.0))
+        bad = Schedule((first, *s.segments[1:]), j, s.pulse_strength_n, s.target)
+        with pytest.raises(NonHermitian, match=r"NaN or Inf entries \(stack index \[0\]\)"):
+            evolve(bad)
+        with pytest.raises(NonHermitian, match="NaN or Inf"):
+            batch_verify([s, bad], [CNOT, CNOT])
 
     def test_one_bad_schedule_fails_the_batch(self):
         good = synthesize(GateSpec.cnot(), 1.0, 1000.0)
