@@ -10,7 +10,8 @@ eigenbasis: writing U_B = L D P^T with L, P in SO(4) and D diagonal, the
 phases of D yield the interaction coordinates and O L O†, O P^T O† are the
 local factors.  A final sequence of shift/negate/swap moves places the
 coordinates in the canonical region pi/2 >= c1 >= c2 >= |c3|, absorbing the
-fixups into the local factors.
+fixups into the local factors; the fixups of each move sequence are built
+once.
 
 c3 carries a sign: gates whose invariant b = Im G1 is negative are not locally
 equivalent to their mirror image and have no all-nonnegative coordinate
@@ -20,6 +21,7 @@ coordinate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,6 +159,7 @@ def _real_orthogonal_eigenbasis(m):
     mr = (m.real + m.real.T) / 2
     mi = (m.imag + m.imag.T) / 2
     w, p = np.linalg.eigh(mr)
+    w = w.tolist()
     start = 0
     for i in range(1, 5):
         if i == 4 or w[i] - w[i - 1] > 1e-9:
@@ -205,40 +208,29 @@ _SWAPPERS = (
 def _canonicalize(c):
     """Move a raw coordinate vector into the canonical region.
 
-    Returns (coords, phase, left pair, right pair) such that
+    Returns (coords, fixups), where ``fixups`` = ``_fixups(moves)`` of the
+    moves taken, such that
 
-        C(c) = phase * (l1 (x) l2) C(coords) (r1 (x) r2)
+        C(c) = e^{i angle} (l1 (x) l2) C(coords) (r1 (x) r2)
 
     with pi/2 >= coords[0] >= coords[1] >= |coords[2]|, and coords[2] >= 0
     whenever coords[0] is within 1e-14 (roundoff) of the pi/2 boundary.
     """
     v = list(c)
-    phase = [1.0 + 0j]
-    left = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
-    right = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+    moves = []
 
     def shift(k, step):
         v[k] += step * np.pi
-        phase[0] *= 1j**step
-        f = _FLIPPERS[k] if step > 0 else -_FLIPPERS[k]  # flipper^-1 = -flipper
-        right[0] = f @ right[0]
-        right[1] = f @ right[1]
+        moves.append(("shift", k, step))
 
     def negate(k1, k2):
         v[k1] *= -1
         v[k2] *= -1
-        phase[0] *= -1
-        f = _FLIPPERS[3 - k1 - k2]
-        left[1] = left[1] @ f
-        right[1] = f @ right[1]
+        moves.append(("negate", k1, k2))
 
     def swap(k1, k2):
         v[k1], v[k2] = v[k2], v[k1]
-        s = _SWAPPERS[3 - k1 - k2]
-        left[0] = left[0] @ s
-        left[1] = left[1] @ s
-        right[0] = s @ right[0]
-        right[1] = s @ right[1]
+        moves.append(("swap", k1, k2))
 
     for k in range(3):
         while v[k] <= -np.pi / 2:
@@ -267,7 +259,43 @@ def _canonicalize(c):
         negate(0, 2)
 
     coords = [0.0 if abs(x) < COORD_SNAP else float(x) for x in v]
-    return coords, phase[0], left, right
+    return coords, _fixups(tuple(moves))
+
+
+@functools.cache
+def _fixups(moves):
+    """(angle, l1 (x) l2, r1 (x) r2) of a sequence of canonicalization moves.
+
+    The fixups depend on the moves alone, so each sequence is built once and
+    the memo returns the bits a fresh build gives, in read-only arrays.  The
+    sequences are few: each raw coordinate lies in [-3 pi/2, 3 pi/2], so an
+    axis takes at most two shifts, and the swaps, negations and mirror move
+    are each taken at most once (5^3 * 2^3 * 2^2 * 2 = 8000 at most).
+    """
+    phase = 1.0 + 0j
+    left = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+    right = [np.eye(2, dtype=complex), np.eye(2, dtype=complex)]
+    for move, i, j in moves:
+        if move == "shift":  # axis i by j * pi
+            phase *= 1j**j
+            f = _FLIPPERS[i] if j > 0 else -_FLIPPERS[i]  # flipper^-1 = -flipper
+            right[0] = f @ right[0]
+            right[1] = f @ right[1]
+        elif move == "negate":  # axes i and j
+            phase *= -1
+            f = _FLIPPERS[3 - i - j]
+            left[1] = left[1] @ f
+            right[1] = f @ right[1]
+        else:  # swap axes i and j
+            s = _SWAPPERS[3 - i - j]
+            left[0] = left[0] @ s
+            left[1] = left[1] @ s
+            right[0] = s @ right[0]
+            right[1] = s @ right[1]
+    products = kron(left[0], left[1]), kron(right[0], right[1])
+    for m in products:
+        m.flags.writeable = False
+    return (float(np.angle(phase)), *products)
 
 
 def kak_decompose(u) -> KakDecomposition:
@@ -288,6 +316,7 @@ def kak_decompose(u) -> KakDecomposition:
         p[:, 0] = -p[:, 0]
     # Built from the unfixed theta; with det P = 1, det L = det U_B e^{-i sum(theta)}.
     ell = ub @ p @ np.diag(np.exp(-1j * theta))
+    theta = theta.tolist()
     if _needs_pi_branch(theta, det):
         theta[0] += np.pi
         ell[:, 0] = -ell[:, 0]
@@ -297,23 +326,23 @@ def kak_decompose(u) -> KakDecomposition:
         )
     ell = ell.real.astype(float)
 
-    w = float(np.sum(theta) / 4)
-    c_raw = _coords_from_phases(theta)
-    coords, move_phase, left, right = _canonicalize(c_raw)
+    w = sum(theta) / 4
+    coords, (move_angle, left, right) = _canonicalize(_coords_from_phases(theta))
 
-    k1_full = (MAGIC @ ell @ MAGIC_DAG) @ kron(left[0], left[1])
-    k2_full = kron(right[0], right[1]) @ (MAGIC @ p.T @ MAGIC_DAG)
+    k1_full = (MAGIC @ ell @ MAGIC_DAG) @ left
+    k2_full = right @ (MAGIC @ p.T @ MAGIC_DAG)
     a, b, phase = _factor_locals(np.stack([k1_full, k2_full]))
     phase1, phase2 = phase.tolist()
 
-    global_phase = float(w + np.angle(move_phase) + phase1 + phase2)
+    global_phase = w + move_angle + phase1 + phase2
     decomposition = KakDecomposition(
         k1=LocalGate(a=a[0], b=b[0]),
         coords=CanonicalCoordinates(*coords),
         k2=LocalGate(a=a[1], b=b[1]),
         global_phase=global_phase,
     )
-    residual = max_norm(reconstruct(decomposition) - u)
+    # The products of reconstruct(), with both factor pairs in one kron.
+    residual = max_norm(_multiply_out(global_phase, coords, *kron(a, b)) - u)
     if residual > RECONSTRUCTION_TOL:
         raise ReconstructionFailed(
             f"reconstruction residual {residual:.3e} > {RECONSTRUCTION_TOL:.0e}"
@@ -321,8 +350,13 @@ def kak_decompose(u) -> KakDecomposition:
     return decomposition
 
 
+def _multiply_out(global_phase, coords, k1, k2):
+    """e^{i global_phase} k1 exp(i/2 (c1 XX + c2 YY + c3 ZZ)) k2 for 4x4 k1, k2."""
+    return np.exp(1j * global_phase) * k1 @ interaction_unitary(*coords) @ k2
+
+
 def reconstruct(d: KakDecomposition) -> np.ndarray:
     """Multiply a decomposition back out into a 4x4 unitary."""
-    phase = np.exp(1j * d.global_phase)
-    center = interaction_unitary(*d.coords.as_tuple())
-    return phase * kron(d.k1.a, d.k1.b) @ center @ kron(d.k2.a, d.k2.b)
+    return _multiply_out(
+        d.global_phase, d.coords.as_tuple(), kron(d.k1.a, d.k1.b), kron(d.k2.a, d.k2.b)
+    )

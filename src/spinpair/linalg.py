@@ -31,6 +31,9 @@ ZZ = PAULI_PRODUCTS[("z", "z")]
 _EYE4 = np.eye(4)
 
 CONSTRUCTION_TOL = 1e-10  # user-supplied matrices are admitted by GateSpec.custom
+# Entries up to this magnitude cannot overflow U†U (sums of products of two
+# entries) or H - H†; larger ones, NaN and Inf take the checks' slow path.
+_SAFE_ENTRY = 1e150
 
 
 def max_norm(m) -> float:
@@ -68,10 +71,17 @@ def _validated(m, error, defect_of, label: str, tol: float = CONSTRUCTION_TOL) -
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-2:] != (4, 4):
         raise error(f"expected a 4x4 matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        first = _first(~np.isfinite(a).all(axis=(-2, -1)))
-        raise error(_named(first, "matrix contains NaN or Inf entries"))
-    defect = np.abs(defect_of(a))
+    if abs(a).max(initial=0.0) <= _SAFE_ENTRY:  # False for NaN too
+        defect = abs(defect_of(a))
+    else:
+        finite = np.isfinite(a).all(axis=(-2, -1))
+        if not finite.all():
+            raise error(_named(_first(~finite), "matrix contains NaN or Inf entries"))
+        # Finite but huge: a defect that overflows (to inf, or NaN from
+        # inf - inf) is an infinite one.
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = abs(defect_of(a))
+        defect[np.isnan(defect)] = np.inf
     if defect.max(initial=0.0) > tol:
         per_matrix = defect.max(axis=(-2, -1))
         first = _first(per_matrix > tol)

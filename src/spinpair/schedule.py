@@ -98,8 +98,8 @@ class PulseSegment:
     amplitudes: ControlAmplitudes
 
     def __post_init__(self):
-        if not (self.duration > 0 and np.isfinite(self.duration)):
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
+        if not (self.duration > 0 and math.isfinite(self.duration)):
+            raise ValueError(f"segment duration must be finite and positive, got {self.duration}")
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
@@ -338,32 +338,31 @@ def euler_xyx(k) -> tuple[float, float, float]:
     """
     k = np.asarray(k, dtype=complex)
     _require_su2(k, "euler_xyx input")
-    return _xyx_angles(k)
+    return _xyx_angles(k[None])[0]
 
 
-def _xyx_angles(k) -> tuple[float, float, float]:
-    """``euler_xyx`` of a matrix already known to be in SU(2)."""
+def _xyx_angles(k) -> list[tuple[float, float, float]]:
+    """``euler_xyx`` over a stack (n, 2, 2) already known to be in SU(2), one
+    (alpha, beta, delta) per matrix."""
     # Real quaternion-like components: k = cos(b/2)cos(s) - i [...] with
     # s = (alpha+delta)/2, d = (alpha-delta)/2, b = beta.
-    k00, k01 = k[0].tolist()
-    ca = k00.real  # cos(b/2) cos(s)
-    cc = -k01.imag  # cos(b/2) sin(s)
-    sb = -k01.real  # sin(b/2) cos(d)
-    sd = -k00.imag  # sin(b/2) sin(d)
-
-    cos_half = np.hypot(ca, cc)
-    sin_half = np.hypot(sb, sd)
-    beta = float(2 * np.arctan2(sin_half, cos_half))
+    top = k[:, 0]
+    x = top.real * (1.0, -1.0)  # cos(b/2) cos(s), sin(b/2) cos(d)
+    y = -top.imag[:, ::-1]  # cos(b/2) sin(s), sin(b/2) sin(d)
+    halves = np.hypot(x, y)  # cos(b/2), sin(b/2)
+    betas = 2 * np.arctan2(halves[:, 1], halves[:, 0])
     eps = 1e-9
-    if sin_half < eps:
-        alpha, delta = float(2 * np.arctan2(cc, ca)), 0.0
-    elif cos_half < eps:
-        alpha, delta = float(2 * np.arctan2(sd, sb)), 0.0
-    else:
-        s = np.arctan2(cc, ca)
-        d = np.arctan2(sd, sb)
-        alpha, delta = float(s + d), float(s - d)
-    return alpha, beta, delta
+    angles = []
+    for (cos_half, sin_half), (s, d), beta in zip(
+        halves.tolist(), np.arctan2(y, x).tolist(), betas.tolist()
+    ):
+        if sin_half < eps:
+            angles.append((2 * s, beta, 0.0))
+        elif cos_half < eps:
+            angles.append((2 * d, beta, 0.0))
+        else:
+            angles.append((s + d, beta, s - d))
+    return angles
 
 
 def _pulse(axis: str, q1_angle: float, q2_angle: float, n: float) -> list[PulseSegment]:
@@ -388,18 +387,11 @@ def _drift(duration: float) -> PulseSegment:
     return PulseSegment(duration, ControlAmplitudes(0.0, 0.0, 0.0, 0.0))
 
 
-def _local_stages(k: LocalGate, n: float) -> list[PulseSegment]:
-    """Render a local pair a (x) b as merged X, Y, X pulse stages (time order).
-
-    ``LocalGate`` has already applied ``euler_xyx``'s SU(2) check to both.
-    """
-    a1, b1, d1 = _xyx_angles(k.a)
-    a2, b2, d2 = _xyx_angles(k.b)
-    segments = []
-    segments += _pulse("x", d1, d2, n)
-    segments += _pulse("y", b1, b2, n)
-    segments += _pulse("x", a1, a2, n)
-    return segments
+def _local_stages(a_angles, b_angles, n: float) -> list[PulseSegment]:
+    """Render a local pair a (x) b, given the XYX angles of both factors, as
+    merged X, Y, X pulse stages (time order)."""
+    (a1, b1, d1), (a2, b2, d2) = a_angles, b_angles
+    return _pulse("x", d1, d2, n) + _pulse("y", b1, b2, n) + _pulse("x", a1, a2, n)
 
 
 def _require_hard_pulse(coupling_j: float, pulse_strength_n: float) -> None:
@@ -464,7 +456,10 @@ _WINDOWS = (
 
 def _kak_segments(u, coupling_j: float, n: float) -> tuple[PulseSegment, ...]:
     decomposition = kak_decompose(u)
-    segments = _local_stages(decomposition.k2, n)
+    k1, k2 = decomposition.k1, decomposition.k2
+    # ``LocalGate`` has already applied ``euler_xyx``'s SU(2) check to all four.
+    angles = _xyx_angles(np.stack([k2.a, k2.b, k1.a, k1.b]))
+    segments = _local_stages(angles[0], angles[1], n)
     for index, axis, before, after in _WINDOWS:
         c = decomposition.coords.as_tuple()[index]
         if abs(c) <= COORD_SKIP:
@@ -473,7 +468,7 @@ def _kak_segments(u, coupling_j: float, n: float) -> tuple[PulseSegment, ...]:
         if c > 0:
             window = _pulse(axis, *before, n) + window + _pulse(axis, *after, n)
         segments += window
-    segments += _local_stages(decomposition.k1, n)
+    segments += _local_stages(angles[2], angles[3], n)
     return tuple(segments)
 
 

@@ -78,11 +78,18 @@ def _propagate(schedules: list[Schedule]) -> np.ndarray:
     # H = H_d + v1 H1 + ... + v4 H4, summed left to right; one stacked eigh.
     # Finite input can still overflow H, or the phase t * w to inf, leaving
     # inf or NaN: hermitian4 and the final unitary4 reject it, without warnings.
+    # H is exactly Hermitian wherever it is finite.
     with np.errstate(over="ignore", invalid="ignore"):
         h = coupling[:, None, None] * DRIFT_TERM
         for k, term in enumerate(CONTROL_TERMS):
             h = h + amplitudes[:, k, None, None] * term
-        steps = expm_hermitian(h, duration)
+        try:
+            steps = expm_hermitian(h, duration)
+        except NonHermitian:
+            p, b = divmod(int(np.argmin(np.isfinite(h).all(axis=(1, 2)))), len(schedules))
+            raise NonHermitian(
+                f"schedule {b}, segment {p}: Hamiltonian overflows (NaN or Inf entries)"
+            ) from None
 
     # Time-ordered product, one segment position at a time across the batch.
     u = np.tile(np.eye(4, dtype=complex), (len(schedules), 1, 1))

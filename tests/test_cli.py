@@ -341,6 +341,33 @@ class TestInvalidScalars:
         assert "finite" in err
 
 
+class TestHugeMatrix:
+    """A finite matrix whose U†U overflows is rejected as non-unitary, with
+    one error line and no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [("invariants",), ("mintime", "--coupling", "1"), ("coords",), ("kak",),
+         ("schedule", "--coupling", "1", "--pulse-strength", "1000")],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("entries", ["one-1e200", "nan-defect"])
+    def test_exits_2_with_one_error_line(self, capsys, tmp_path, argv, entries):
+        if entries == "one-1e200":
+            m = np.eye(4, dtype=complex)
+            m[2, 1] = 1e200
+        else:  # U†U holds inf - inf = NaN
+            parts = np.random.default_rng(0).choice([-1e200, 0.0, 1e200], size=(2, 4, 4))
+            m = parts[0] + 1j * parts[1]
+        path = tmp_path / "huge.json"
+        write_matrix(path, m)
+        code, out, err = run_cli(capsys, argv[0], "--matrix", str(path), *argv[1:])
+        assert (code, out, err) == (
+            2, "", "error: ||U†U - I||_max = inf exceeds tolerance 1.000e-08\n"
+        )
+
+
 class TestPipelineExitCode:
     def test_positive_discriminant_maps_to_3(self, capsys, monkeypatch):
         from spinpair import cli
@@ -860,7 +887,17 @@ class TestNonFiniteSchedule:
         path = schedule_file(tmp_path / "huge.sched", coupling, v0=v0)
         code, out, err = run_cli(capsys, command, "--schedule", path)
         assert (code, out, err) == (
-            2, "", "error: matrix contains NaN or Inf entries (stack index [0])\n"
+            2, "", "error: schedule 0, segment 0: Hamiltonian overflows (NaN or Inf entries)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    # A JSON integer past the double range reads as infinite, as 1e400 does.
+    @pytest.mark.parametrize("duration", [float("inf"), 10**400], ids=["Infinity", "huge-integer"])
+    def test_infinite_duration_exits_2(self, capsys, tmp_path, command, duration):
+        path = schedule_file(tmp_path / "long.sched", segments=[{"duration_s": duration, "v": [0.0] * 4}])
+        code, out, err = run_cli(capsys, command, "--schedule", path)
+        assert (code, out, err) == (
+            2, "", "error: malformed schedule: segment duration must be finite and positive, got inf\n"
         )
 
 

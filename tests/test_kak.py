@@ -312,11 +312,58 @@ class TestCanonicalizeExtremePhases:
             if pi_branch:
                 theta[0] += np.pi
             c_raw = kak._coords_from_phases(theta)
-            coords, phase, left, right = kak._canonicalize(c_raw)
+            coords, (angle, left, right) = kak._canonicalize(c_raw)
             CanonicalCoordinates(*coords)
             assert coords[2] > -np.pi / 2
-            got = phase * kron(*left) @ interaction_unitary(*coords) @ kron(*right)
+            got = np.exp(1j * angle) * left @ interaction_unitary(*coords) @ right
             assert max_norm(got - interaction_unitary(*c_raw)) <= 1e-12, theta
+
+
+class TestFixupMemo:
+    """The canonicalization fixups come from a memo keyed by the move
+    sequence; a fresh build (the memo's undecorated function) is the reference."""
+
+    @staticmethod
+    def _grid_moves(monkeypatch):
+        seen = {}
+        fixups = kak._fixups
+
+        def recording(moves):
+            seen[moves] = result = fixups(moves)
+            return result
+
+        monkeypatch.setattr(kak, "_fixups", recording)
+        for pi_branch in (False, True):
+            for theta in itertools.product(TestCanonicalizeExtremePhases._PHASES, repeat=4):
+                theta = np.array(theta)
+                if pi_branch:
+                    theta[0] += np.pi
+                kak._canonicalize(kak._coords_from_phases(theta))
+        return seen
+
+    def test_memo_equals_fresh_build(self, monkeypatch):
+        build = kak._fixups.__wrapped__
+        seen = self._grid_moves(monkeypatch)
+        assert len(seen) > 100  # both branches reach many move sequences
+        for moves, (angle, left, right) in seen.items():
+            fresh_angle, fresh_left, fresh_right = build(moves)
+            assert repr(angle) == repr(fresh_angle)
+            assert left.tobytes() == fresh_left.tobytes(), moves
+            assert right.tobytes() == fresh_right.tobytes(), moves
+
+    def test_memo_is_read_only(self, monkeypatch):
+        for _, left, right in self._grid_moves(monkeypatch).values():
+            for m in (left, right):
+                with pytest.raises(ValueError, match="read-only"):
+                    m[0, 0] = 0
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        # At most 5^3 * 2^3 * 2^2 * 2 = 8000 sequences exist (see _fixups);
+        # the whole phase grid, both branches, reaches 205 of them.
+        memo = kak._fixups
+        memo.cache_clear()
+        self._grid_moves(monkeypatch)
+        assert memo.cache_info().currsize <= 256
 
 
 class TestChecksStillFire:
@@ -431,3 +478,19 @@ class TestSharedWork:
         assert svds == [(2, 4, 4)]
         # the input once, then both local factors in one stacked check
         assert checks == [(4, 4), (2, 4, 4)]
+
+    @pytest.mark.parametrize("gate", ["haar", CNOT, SWAP, IDENTITY4], ids=["haar", "cnot", "swap", "identity"])
+    def test_one_kron_for_the_residual(self, monkeypatch, rng, gate):
+        # Once the move sequence is in the memo, both factor pairs go through
+        # one kron for the phase reference and one for the residual.
+        u = haar_unitary(rng) if isinstance(gate, str) else gate
+        kak_decompose(u)
+        krons = []
+
+        def counting_kron(a, b):
+            krons.append((np.shape(a), np.shape(b)))
+            return kron(a, b)
+
+        monkeypatch.setattr(kak, "kron", counting_kron)
+        kak_decompose(u)
+        assert krons == [((2, 2, 2), (2, 2, 2))] * 2

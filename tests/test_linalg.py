@@ -127,6 +127,32 @@ class TestValidation:
         with pytest.raises(NonHermitian):
             hermitian4(m)
 
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning beside the error
+    def test_huge_finite_input(self, rng):
+        # Entries past 1e150 overflow U†U or H - H†: the defect is infinite.
+        inf_defect = r"= inf exceeds tolerance 1\.000e-10$"
+        with pytest.raises(NonUnitary, match=inf_defect):
+            unitary4(np.eye(4) * 1e200)
+        with pytest.raises(NonUnitary, match=r"stack index \[1\]\)$"):
+            unitary4(np.array([haar_unitary(rng), np.eye(4) * 1e200]))
+        h = np.zeros((4, 4))
+        h[0, 1], h[1, 0] = 1.5e308, -1.5e308
+        with pytest.raises(NonHermitian, match=inf_defect):
+            hermitian4(h)
+        # a huge Hermitian matrix is still Hermitian
+        h[1, 0] = 1.5e308
+        assert hermitian4(h)[1, 0] == 1.5e308
+        assert hermitian4(1e200 * random_hermitian(rng)) is not None
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_to_nan_is_rejected(self):
+        # U†U overflows to inf - inf = NaN here; a NaN defect once passed the
+        # check, because NaN > tol is False.
+        m = np.random.default_rng(0).choice([-1e200, 0.0, 1e200], size=(2, 4, 4))
+        u = m[0] + 1j * m[1]
+        with pytest.raises(NonUnitary, match="= inf exceeds"):
+            unitary4(u)
+
     def test_product_closure(self, rng):
         for _ in range(10):
             u, v = haar_unitary(rng), haar_unitary(rng)

@@ -206,6 +206,11 @@ class TestMinTime:
         with pytest.raises(NonPositiveCoupling):
             min_time(CNOT, 0.0)
 
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning beside the error
+    def test_rejects_huge_finite_input(self):
+        with pytest.raises(NonUnitary, match="= inf exceeds tolerance"):
+            min_time(np.eye(4) * 1e200, 1.0)
+
     def test_monotone_bound(self, rng):
         for _ in range(200):
             t = min_time(haar_unitary(rng), 1.0).t_star

@@ -14,6 +14,7 @@ from spinpair.schedule import (
     GateSpec,
     PulseSegment,
     Schedule,
+    _xyx_angles,
     euler_xyx,
     load_schedule,
     matrix_from_dict,
@@ -24,6 +25,7 @@ from spinpair.schedule import (
 from spinpair.simulate import evolve
 
 from conftest import haar_unitary, random_su2
+from test_kak_equivalence import _reference_euler
 
 
 class TestEulerXYX:
@@ -72,6 +74,25 @@ class TestEulerXYX:
     def test_shares_the_local_gate_check(self, k, match):
         with pytest.raises(ValueError, match=f"euler_xyx input {match}"):
             euler_xyx(k)
+
+    def test_stack_matches_batch_of_one_at_gimbal_lock(self, rng):
+        # beta near 0 (sin(beta/2) < 1e-9) and near pi (cos(beta/2) < 1e-9),
+        # on both sides of the threshold, plus generic angles.
+        betas = [0.0, 1e-12, 1e-10, 1.9e-9, 2.1e-9, np.pi - 2.1e-9, np.pi - 1.9e-9,
+                 np.pi - 1e-10, np.pi, 0.7, 2.9]
+        ks = []
+        for beta in betas:
+            for _ in range(4):
+                alpha, delta = rng.uniform(-np.pi, np.pi, size=2)
+                ks.append(rotation("x", alpha) @ rotation("y", beta) @ rotation("x", delta))
+        ks += [np.eye(2, dtype=complex), -np.eye(2, dtype=complex)]
+        stacked = _xyx_angles(np.array(ks))
+        singles = [_xyx_angles(k[None])[0] for k in ks]
+        loop = [_reference_euler(k) for k in ks]  # the per-matrix code it replaced
+        assert repr(stacked) == repr(singles) == repr(loop)
+        # delta is set to 0 exactly on the degenerate rows
+        degenerate = [beta < 2e-9 or beta > np.pi - 2e-9 for beta in betas for _ in range(4)]
+        assert [delta == 0.0 for _, _, delta in stacked] == degenerate + [True, True]
 
 
 class TestCnotSchedule:
@@ -408,6 +429,11 @@ class TestValidation:
     def test_segment_duration_positive(self):
         with pytest.raises(ValueError):
             PulseSegment(0.0, ControlAmplitudes(0, 0, 0, 0))
+
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan"), -1.0])
+    def test_segment_duration_message(self, duration):
+        with pytest.raises(ValueError, match=f"^segment duration must be finite and positive, got {duration}$"):
+            PulseSegment(duration, ControlAmplitudes(0, 0, 0, 0))
 
 
 class TestMatrixCodec:
