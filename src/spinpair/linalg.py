@@ -65,9 +65,12 @@ def _named(first: tuple[int, ...], message: str) -> str:
     return f"{message} (stack index {list(first)})" if first else message
 
 
-def _validated(m, error, defect_of, label: str, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
+def _validated(
+    m, error, defect_of, label: str, tol: float = CONSTRUCTION_TOL
+) -> tuple[np.ndarray, np.ndarray]:
     """Shape, finiteness and ``||defect_of(m)||_max <= tol`` check shared by
-    unitary4 and hermitian4, matrix by matrix over a stack."""
+    unitary4 and hermitian4, matrix by matrix over a stack.  Returns the
+    matrix and the entrywise ``|defect_of(m)|`` it was checked on."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-2:] != (4, 4):
         raise error(f"expected a 4x4 matrix, got shape {a.shape}")
@@ -86,7 +89,7 @@ def _validated(m, error, defect_of, label: str, tol: float = CONSTRUCTION_TOL) -
         per_matrix = defect.max(axis=(-2, -1))
         first = _first(per_matrix > tol)
         raise error(_named(first, f"{label} = {per_matrix[first]:.3e} exceeds tolerance {tol:.3e}"))
-    return a
+    return a, defect
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -100,9 +103,12 @@ def unitary4(m, tol: float = CONSTRUCTION_TOL) -> np.ndarray:
         NonUnitary: if ||U†U - I||_max exceeds ``tol`` (default 1e-10); for
             a stack, the first failing matrix is named by its index.
     """
-    return _validated(
-        m, NonUnitary, lambda u: _adjoint(u) @ u - _EYE4, "||U†U - I||_max", tol
-    )
+    return _unitary_defect(m, tol)[0]
+
+
+def _unitary_defect(m, tol: float = CONSTRUCTION_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``unitary4``, also returning the entrywise |U†U - I| it checked."""
+    return _validated(m, NonUnitary, lambda u: _adjoint(u) @ u - _EYE4, "||U†U - I||_max", tol)
 
 
 def nearest_unitary(m) -> np.ndarray:
@@ -113,7 +119,7 @@ def nearest_unitary(m) -> np.ndarray:
 
 def hermitian4(m) -> np.ndarray:
     """Validate and return a 4x4 Hermitian matrix, or a stack (..., 4, 4)."""
-    return _validated(m, NonHermitian, lambda h: h - _adjoint(h), "||H - H†||_max")
+    return _validated(m, NonHermitian, lambda h: h - _adjoint(h), "||H - H†||_max")[0]
 
 
 def expm_hermitian(h, t: float | np.ndarray) -> np.ndarray:

@@ -319,10 +319,54 @@ class Schedule:
             raise ScheduleFormatError(f"malformed schedule: {exc}") from exc
 
 
+# The file and one of its segments in json's indent-2 layout.
+_FILE = """{
+  "coupling_j_hz": %s,
+  "pulse_strength_n": %s,
+  "target": %s,
+  "segments": %s
+}
+"""
+_SEGMENT = """    {
+      "duration_s": %s,
+      "v": [
+        %s,
+        %s,
+        %s,
+        %s
+      ]
+    }"""
+
+
+def _json_value(x, pad: str) -> str:
+    """``x`` spelled as ``json.dumps(..., indent=2)`` spells it at indent
+    ``pad``: ``float.__repr__`` for a finite float, json itself for anything
+    else (NaN, Infinity, ints, bools; TypeError for what json rejects)."""
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x, indent=2).replace("\n", "\n" + pad)
+
+
 def save_schedule(schedule: Schedule, path) -> None:
+    """Write ``json.dumps(schedule.to_dict(), indent=2)`` and a newline to
+    ``path`` in one write.  The text is built before the file is opened, so a
+    schedule json cannot encode raises and leaves an existing file as it was."""
+    segments = ",\n".join(
+        _SEGMENT
+        % (
+            _json_value(s.duration, "      "),
+            *(_json_value(v, "        ") for v in s.amplitudes.as_tuple()),
+        )
+        for s in schedule.segments
+    )
+    text = _FILE % (
+        _json_value(schedule.coupling_j, "  "),
+        _json_value(schedule.pulse_strength_n, "  "),
+        json.dumps(schedule.target.to_dict(), indent=2).replace("\n", "\n  "),
+        "[\n%s\n  ]" % segments if segments else "[]",
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schedule.to_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_schedule(path) -> Schedule:

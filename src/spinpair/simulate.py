@@ -20,7 +20,17 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import NonHermitian
-from .linalg import I2, SIGMA_X, SIGMA_Y, ZZ, expm_hermitian, kron, nearest_unitary, unitary4
+from .linalg import (
+    I2,
+    SIGMA_X,
+    SIGMA_Y,
+    ZZ,
+    _unitary_defect,
+    expm_hermitian,
+    kron,
+    nearest_unitary,
+    unitary4,
+)
 from .schedule import Schedule
 
 # Drift per hertz of coupling, H_d = J * DRIFT_TERM; diagonal.
@@ -132,9 +142,8 @@ def batch_verify(schedules, targets) -> list[SimulationReport]:
         )
     if not schedules:
         return []
-    targets = unitary4(np.array(targets, dtype=complex), tol=1e-8)
-    defect = np.abs(targets.conj().swapaxes(-2, -1) @ targets - np.eye(4)).max(axis=(-2, -1))
-    loose = defect > FIDELITY_SLACK
+    targets, defect = _unitary_defect(np.array(targets, dtype=complex), tol=1e-8)
+    loose = defect.max(axis=(-2, -1)) > FIDELITY_SLACK
     if loose.any():
         targets[loose] = nearest_unitary(targets[loose])
     u_final = _propagate(schedules)

@@ -370,7 +370,44 @@ class TestGateSpec:
         assert max_norm(again.unitary() - SQRT_SWAP.conj()) < 1e-15
 
 
+def _haar_schedules(j, n):
+    rng = np.random.default_rng(7)
+    return [synthesize(GateSpec.custom(haar_unitary(rng)), j, n) for _ in range(8)]
+
+
+def _one_segment(duration, amplitudes, j=1.0, n=1000.0):
+    segment = PulseSegment(duration, ControlAmplitudes(*amplitudes))
+    return [Schedule((segment,), j, n, GateSpec.cnot())]
+
+
+# Schedules whose file must be json.dumps(indent=2) of their dict, byte for byte.
+WRITER_CORPUS = {
+    "haar-1-1e4": lambda: _haar_schedules(1.0, 1e4),
+    "haar-2.5-50": lambda: _haar_schedules(2.5, 50.0),
+    "named": lambda: [
+        synthesize(GateSpec(name=name), j, n)
+        for name in REFERENCE_GATES
+        for j, n in ((1.0, 1000.0), (2.5, 50.0))
+    ],
+    "cu": lambda: [
+        synthesize(GateSpec.controlled_u(*gamma), 1.0, 1e4)
+        for gamma in np.random.default_rng(11).uniform(-3.0, 3.0, (6, 3))
+    ],
+    "no-segments": lambda: [synthesize(GateSpec.custom(np.eye(4)), 1.0, 1000.0)],
+    "int-j-and-n": lambda: _one_segment(0.5, (0, 1, 0.0, 2), j=2, n=100),
+    "non-finite": lambda: _one_segment(1e-3, (-0.0, float("nan"), float("inf"), float("-inf"))),
+    "non-numbers": lambda: _one_segment(1e-3, (True, None, [0.5, {"a": [2]}], "x")),
+    "numpy-float": lambda: _one_segment(
+        np.float64(1e-3), (np.float64(0.1), 0.0, np.float64(-2.5), 0.0), j=np.float64(1.5)
+    ),
+}
+
+
 class TestScheduleFile:
+    def test_identity_has_no_segments(self):
+        (schedule,) = WRITER_CORPUS["no-segments"]()
+        assert schedule.segments == ()
+
     def test_round_trip(self, tmp_path):
         s = synthesize(GateSpec.swap(), 1.5, 100.0)
         path = tmp_path / "swap.sched"
@@ -405,6 +442,28 @@ class TestScheduleFile:
         path = tmp_path / "s.sched"
         save_schedule(synthesize(GateSpec(name=name), j, n), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN_SHA256[key]
+
+    @pytest.mark.parametrize("case", list(WRITER_CORPUS))
+    def test_writes_what_json_writes(self, tmp_path, case):
+        path = tmp_path / "s.sched"
+        for schedule in WRITER_CORPUS[case]():
+            save_schedule(schedule, path)
+            want = json.dumps(schedule.to_dict(), indent=2) + "\n"
+            assert path.read_bytes() == want.encode("utf-8")
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "s.sched"
+        save_schedule(synthesize(GateSpec.cnot(), 1.0, 1000.0), path)
+        before = path.read_bytes()
+        bad = Schedule(
+            (PulseSegment(np.float32(1e-3), ControlAmplitudes(0.0, 0.0, 0.0, 0.0)),),
+            1.0,
+            1000.0,
+            GateSpec.cnot(),
+        )
+        with pytest.raises(TypeError, match="float32 is not JSON serializable"):
+            save_schedule(bad, path)
+        assert path.read_bytes() == before
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.sched"
