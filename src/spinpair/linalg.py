@@ -33,6 +33,7 @@ _EYE4 = np.eye(4)
 CONSTRUCTION_TOL = 1e-10  # user-supplied matrices are admitted by GateSpec.custom
 # Entries up to this magnitude cannot overflow U†U (sums of products of two
 # entries) or H - H†; larger ones, NaN and Inf take the checks' slow path.
+# It also bounds every number a schedule holds (see ``schedule``).
 _SAFE_ENTRY = 1e150
 
 

@@ -23,6 +23,11 @@ rule lives; propagation treats every segment alike), and ``Schedule`` reads
 its drift time as the sum of those segments' durations, for synthesized and
 loaded schedules alike.
 
+A schedule's numbers are decided when it is built: amplitudes, durations,
+J, N and a cu gamma are Python floats within 1e150 (``linalg._SAFE_ENTRY``;
+ints and numpy numbers convert as ``_number`` reads them, anything else
+raises ValueError), so propagation cannot overflow and ``%r`` spells them.
+
 The one scaled tolerance is the door for outside matrices.  A custom matrix
 (``GateSpec.custom``: CLI ``--matrix`` input and custom targets in schedule
 files) is accepted when ||U†U - I||_max is within ``input_tolerance()`` =
@@ -46,7 +51,7 @@ import numpy as np
 from .errors import HardPulseRegimeViolated, NonPositiveCoupling, ScheduleFormatError
 from .gates import CNOT, SQRT_SWAP, SWAP, controlled_u
 from .kak import LocalGate, _require_su2, kak_decompose
-from .linalg import nearest_unitary, unitary4
+from .linalg import _SAFE_ENTRY, nearest_unitary, unitary4
 from .mintime import require_coupling
 
 COORD_SKIP = 1e-12  # interaction coordinates below this emit no segment
@@ -73,6 +78,18 @@ def input_tolerance() -> float:
     return INPUT_TOL * _scale.get()
 
 
+def _checked(what: str, value, positive: bool = False) -> float:
+    """``value`` as a schedule number: a Python float of magnitude at most
+    ``_SAFE_ENTRY`` (1e150), converted by ``_number``'s rule, and > 0 when
+    ``positive``; ValueError naming ``what`` for anything else."""
+    x = _number(what, value, ValueError)
+    if positive and not 0 < x < math.inf:
+        raise ValueError(f"{what} must be finite and positive, got {x}")
+    if not abs(x) <= _SAFE_ENTRY:  # NaN too
+        raise ValueError(f"{what} must be finite, at most 1e150 in size (not NaN or Inf), got {x}")
+    return x
+
+
 @dataclass(frozen=True)
 class ControlAmplitudes:
     """Dimensionless multipliers of the four control terms H1..H4."""
@@ -81,6 +98,17 @@ class ControlAmplitudes:
     v2: float
     v3: float
     v4: float
+
+    def __post_init__(self):
+        # One test for the common case, four floats in range (False for NaN).
+        v1, v2, v3, v4 = self.v1, self.v2, self.v3, self.v4
+        if not (
+            type(v1) is type(v2) is type(v3) is type(v4) is float
+            and -_SAFE_ENTRY <= v1 <= _SAFE_ENTRY and -_SAFE_ENTRY <= v2 <= _SAFE_ENTRY
+            and -_SAFE_ENTRY <= v3 <= _SAFE_ENTRY and -_SAFE_ENTRY <= v4 <= _SAFE_ENTRY
+        ):
+            for name, v in zip(("v1", "v2", "v3", "v4"), (v1, v2, v3, v4)):
+                object.__setattr__(self, name, _checked(f"amplitude {name}", v))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.v1, self.v2, self.v3, self.v4)
@@ -98,8 +126,8 @@ class PulseSegment:
     amplitudes: ControlAmplitudes
 
     def __post_init__(self):
-        if not (self.duration > 0 and math.isfinite(self.duration)):
-            raise ValueError(f"segment duration must be finite and positive, got {self.duration}")
+        if not (type(self.duration) is float and 0.0 < self.duration <= _SAFE_ENTRY):
+            object.__setattr__(self, "duration", _checked("segment duration", self.duration, True))
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
@@ -107,12 +135,12 @@ def matrix_to_dict(m: np.ndarray) -> dict:
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
-def _number(where: str, value) -> float:
+def _number(where: str, value, error=ScheduleFormatError) -> float:
     """``value`` as a float if it is a JSON number (from Python, also a numpy
-    integer or float; never a bool), else ScheduleFormatError naming ``where``."""
+    integer or float; never a bool), else ``error`` naming ``where``."""
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         return float(value)
-    raise ScheduleFormatError(f"{where} must be a number, got {value!r}")
+    raise error(f"{where} must be a number, got {value!r}")
 
 
 def _array(where: str, value):
@@ -190,8 +218,10 @@ class GateSpec:
         if self.name != "custom" and self.matrix is not None:
             raise ValueError(f"a matrix is for a custom gate, not {self.name!r}")
         if self.name == "cu":
-            if self.gamma is None or not np.isfinite(self.gamma).all():
-                raise ValueError(f"controlled-U requires finite gamma parameters, got {self.gamma}")
+            gamma = () if self.gamma is None else tuple(self.gamma)
+            if len(gamma) != 3:
+                raise ValueError(f"cu needs 3 gamma values, got {len(gamma)}")
+            object.__setattr__(self, "gamma", tuple(_checked("gamma", g) for g in gamma))
             matrix = controlled_u(*self.gamma)
         elif self.name == "custom":
             if self.matrix is None:
@@ -215,7 +245,7 @@ class GateSpec:
 
     @classmethod
     def controlled_u(cls, gamma1: float, gamma2: float, gamma3: float) -> "GateSpec":
-        return cls(name="cu", gamma=(float(gamma1), float(gamma2), float(gamma3)))
+        return cls(name="cu", gamma=(gamma1, gamma2, gamma3))
 
     @classmethod
     def custom(cls, matrix) -> "GateSpec":
@@ -237,11 +267,10 @@ class GateSpec:
             name = _object("malformed gate description: a target", data)["name"]
             if name == "cu":
                 gamma = _numbers("malformed gate description: 'gamma'", data["gamma"])
-                if len(gamma) != 3:
-                    raise ScheduleFormatError(
-                        f"malformed gate description: cu needs 3 gamma values, got {len(gamma)}"
-                    )
-                spec = cls.controlled_u(*gamma)
+                try:
+                    spec = cls(name="cu", gamma=gamma)
+                except ValueError as exc:
+                    raise ScheduleFormatError(f"malformed gate description: {exc}") from None
             elif name == "custom":
                 spec = cls.custom(matrix_from_dict(data["matrix"]))
             else:
@@ -270,13 +299,14 @@ class Schedule:
     target: GateSpec
 
     def __post_init__(self):
-        # NaN and Inf reach propagation, which rejects them as NaN or Inf entries.
-        if math.isfinite(self.coupling_j) and self.coupling_j <= 0:
-            raise NonPositiveCoupling(f"coupling J must be positive, got {self.coupling_j}")
-        if not (math.isfinite(self.pulse_strength_n) and self.pulse_strength_n > 0):
-            raise ValueError(
-                f"pulse strength N must be finite and positive, got {self.pulse_strength_n}"
-            )
+        j, n = self.coupling_j, self.pulse_strength_n
+        if not (type(j) is float and 0.0 < j <= _SAFE_ENTRY):
+            j = _checked("coupling J", j)
+            if j <= 0:
+                raise NonPositiveCoupling(f"coupling J must be positive, got {j}")
+            object.__setattr__(self, "coupling_j", j)
+        if not (type(n) is float and 0.0 < n <= _SAFE_ENTRY):
+            object.__setattr__(self, "pulse_strength_n", _checked("pulse strength N", n, True))
 
     @property
     def declared_drift_time(self) -> float:
@@ -321,47 +351,34 @@ class Schedule:
 
 # The file and one of its segments in json's indent-2 layout.
 _FILE = """{
-  "coupling_j_hz": %s,
-  "pulse_strength_n": %s,
+  "coupling_j_hz": %r,
+  "pulse_strength_n": %r,
   "target": %s,
   "segments": %s
 }
 """
 _SEGMENT = """    {
-      "duration_s": %s,
+      "duration_s": %r,
       "v": [
-        %s,
-        %s,
-        %s,
-        %s
+        %r,
+        %r,
+        %r,
+        %r
       ]
     }"""
 
 
-def _json_value(x, pad: str) -> str:
-    """``x`` spelled as ``json.dumps(..., indent=2)`` spells it at indent
-    ``pad``: ``float.__repr__`` for a finite float, json itself for anything
-    else (NaN, Infinity, ints, bools; TypeError for what json rejects)."""
-    if isinstance(x, float) and math.isfinite(x):
-        return float.__repr__(x)
-    return json.dumps(x, indent=2).replace("\n", "\n" + pad)
-
-
 def save_schedule(schedule: Schedule, path) -> None:
     """Write ``json.dumps(schedule.to_dict(), indent=2)`` and a newline to
-    ``path`` in one write.  The text is built before the file is opened, so a
-    schedule json cannot encode raises and leaves an existing file as it was."""
+    ``path`` in one write, the text built before the file is opened.  Every
+    number is a finite Python float (see ``ControlAmplitudes``), which ``%r``
+    spells as json does."""
     segments = ",\n".join(
-        _SEGMENT
-        % (
-            _json_value(s.duration, "      "),
-            *(_json_value(v, "        ") for v in s.amplitudes.as_tuple()),
-        )
-        for s in schedule.segments
+        _SEGMENT % (s.duration, *s.amplitudes.as_tuple()) for s in schedule.segments
     )
     text = _FILE % (
-        _json_value(schedule.coupling_j, "  "),
-        _json_value(schedule.pulse_strength_n, "  "),
+        schedule.coupling_j,
+        schedule.pulse_strength_n,
         json.dumps(schedule.target.to_dict(), indent=2).replace("\n", "\n  "),
         "[\n%s\n  ]" % segments if segments else "[]",
     )
@@ -436,16 +453,6 @@ def _local_stages(a_angles, b_angles, n: float) -> list[PulseSegment]:
     merged X, Y, X pulse stages (time order)."""
     (a1, b1, d1), (a2, b2, d2) = a_angles, b_angles
     return _pulse("x", d1, d2, n) + _pulse("y", b1, b2, n) + _pulse("x", a1, a2, n)
-
-
-def _require_hard_pulse(coupling_j: float, pulse_strength_n: float) -> None:
-    if not np.isfinite(pulse_strength_n):
-        raise ValueError(f"pulse strength N must be finite, got {pulse_strength_n}")
-    if pulse_strength_n < 10 * coupling_j:
-        raise HardPulseRegimeViolated(
-            f"pulse strength N = {pulse_strength_n} below hard-pulse threshold "
-            f"10*J = {10 * coupling_j}"
-        )
 
 
 def _cnot_segments(coupling_j: float, n: float) -> tuple[PulseSegment, ...]:
@@ -523,15 +530,16 @@ def synthesize(spec: GateSpec, coupling_j: float, pulse_strength_n: float) -> Sc
     analytic minimal time of the gate; all pulse segments shrink as 1/N.
     """
     require_coupling(coupling_j)
-    _require_hard_pulse(coupling_j, pulse_strength_n)
-    n = float(pulse_strength_n)
+    if not np.isfinite(pulse_strength_n):
+        raise ValueError(f"pulse strength N must be finite, got {pulse_strength_n}")
+    if pulse_strength_n < 10 * coupling_j:
+        raise HardPulseRegimeViolated(
+            f"pulse strength N = {pulse_strength_n} below hard-pulse threshold "
+            f"10*J = {10 * coupling_j}"
+        )
+    n = _checked("pulse strength N", pulse_strength_n, True)
     if spec.name in REFERENCE_GATES:
         segments = REFERENCE_GATES[spec.name][1](coupling_j, n)
     else:
         segments = _kak_segments(spec.unitary(), coupling_j, n)
-    return Schedule(
-        segments=segments,
-        coupling_j=float(coupling_j),
-        pulse_strength_n=n,
-        target=spec,
-    )
+    return Schedule(segments, coupling_j, n, spec)

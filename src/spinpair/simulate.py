@@ -9,7 +9,8 @@ Propagation is batched: the segments of every schedule in a call are gathered
 into one table and go through one stacked eigendecomposition, free-drift
 segments included (LAPACK returns the exact eigenbasis of the diagonal drift,
 so their propagators equal the closed form bit for bit).  One schedule is a
-batch of one.
+batch of one.  A schedule's numbers were checked when it was built; only
+the unitarity of the product is checked here.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import NonHermitian
 from .linalg import (
     I2,
     SIGMA_X,
@@ -79,27 +79,15 @@ def _propagate(schedules: list[Schedule]) -> np.ndarray:
         ],
         dtype=float,
     ).reshape(-1, 6)
-    finite = np.isfinite(table).all(axis=1)
-    if not finite.all():
-        p, b = divmod(int(np.argmin(finite)), len(schedules))
-        raise NonHermitian(f"schedule {b}, segment {p}: coupling or amplitude is NaN or Inf")
     duration, amplitudes, coupling = table[:, 0], table[:, 1:5], table[:, 5]
 
     # H = H_d + v1 H1 + ... + v4 H4, summed left to right; one stacked eigh.
-    # Finite input can still overflow H, or the phase t * w to inf, leaving
-    # inf or NaN: hermitian4 and the final unitary4 reject it, without warnings.
-    # H is exactly Hermitian wherever it is finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = coupling[:, None, None] * DRIFT_TERM
-        for k, term in enumerate(CONTROL_TERMS):
-            h = h + amplitudes[:, k, None, None] * term
-        try:
-            steps = expm_hermitian(h, duration)
-        except NonHermitian:
-            p, b = divmod(int(np.argmin(np.isfinite(h).all(axis=(1, 2)))), len(schedules))
-            raise NonHermitian(
-                f"schedule {b}, segment {p}: Hamiltonian overflows (NaN or Inf entries)"
-            ) from None
+    # Schedule numbers are at most 1e150 in magnitude, so neither H
+    # (eigenvalues below about 1.1e151) nor a phase t * w overflows.
+    h = coupling[:, None, None] * DRIFT_TERM
+    for k, term in enumerate(CONTROL_TERMS):
+        h = h + amplitudes[:, k, None, None] * term
+    steps = expm_hermitian(h, duration)
 
     # Time-ordered product, one segment position at a time across the batch.
     u = np.tile(np.eye(4, dtype=complex), (len(schedules), 1, 1))

@@ -798,7 +798,7 @@ def schedule_file(path, coupling=1.0, v0=None, segments=None, n=1000.0):
     """A CNOT schedule file with ``coupling`` and pulse strength ``n``, its
     segments replaced by ``segments`` and segment 0's amplitudes by ``v0``
     when given.  NaN and Infinity are written as JSON tokens, which the
-    loader accepts."""
+    JSON reader accepts and the schedule then rejects."""
     data = synthesize(GateSpec.cnot(), 1.0, 1000.0).to_dict()
     if segments is not None:
         data["segments"] = segments
@@ -868,26 +868,33 @@ class TestNonFiniteSchedule:
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     @pytest.mark.parametrize("v", [[0.0] * 4, [1e200, 0.0, 0.0, 0.0]], ids=["drift", "pulse"])
     def test_overflowing_phase_exits_2(self, capsys, tmp_path, command, v):
-        # Every input is finite, but the phase duration * eigenvalue is not.
+        # Every input is finite, but the phase duration * eigenvalue would not
+        # be: the loader rejects the first number past 1e150.
         segments = [{"duration_s": 1e200, "v": v}]
         path = schedule_file(tmp_path / "huge.sched", 1e200, segments=segments, n=1e201)
         code, out, err = run_cli(capsys, command, "--schedule", path)
+        field = "amplitude v1" if v[0] else "segment duration"
         assert (code, out, err) == (
-            2, "", "error: matrix contains NaN or Inf entries (stack index [0])\n"
+            2, "", f"error: malformed schedule: {field} must be finite, at most 1e150 in size "
+            "(not NaN or Inf), got 1e+200\n"
         )
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command", ["verify", "simulate"])
     @pytest.mark.parametrize(
-        "coupling, v0", [(1.0, [0.0, 1e308, 0.0, 250.0]), (1.5e308, None)],
+        "coupling, v0, field",
+        [(1.0, [0.0, 1e308, 0.0, 250.0], "amplitude v2"), (1.5e308, None, "coupling J")],
         ids=["amplitude", "coupling"],
     )
-    def test_overflowing_hamiltonian_exits_2(self, capsys, tmp_path, command, coupling, v0):
-        # Every input is finite, but pi * v or the drift J * pi / 2 is not.
+    def test_overflowing_hamiltonian_exits_2(self, capsys, tmp_path, command, coupling, v0, field):
+        # Every input is finite, but pi * v or the drift J * pi / 2 would not
+        # be: the loader rejects the number past 1e150.
         path = schedule_file(tmp_path / "huge.sched", coupling, v0=v0)
         code, out, err = run_cli(capsys, command, "--schedule", path)
+        huge = 1e308 if v0 else coupling
         assert (code, out, err) == (
-            2, "", "error: schedule 0, segment 0: Hamiltonian overflows (NaN or Inf entries)\n"
+            2, "", f"error: malformed schedule: {field} must be finite, at most 1e150 in size "
+            f"(not NaN or Inf), got {huge}\n"
         )
 
     @pytest.mark.parametrize("command", ["verify", "simulate"])

@@ -314,7 +314,6 @@ class TestDriftRule:
             ((-0.0, 0.0, 0.0, -0.0), True),
             ((1e-16, 0.0, 0.0, 0.0), False),
             ((0.0, 0.0, 0.0, -5e-324), False),
-            ((float("nan"), 0.0, 0.0, 0.0), False),
         ],
     )
     def test_is_zero(self, v, drift):
@@ -395,8 +394,6 @@ WRITER_CORPUS = {
     ],
     "no-segments": lambda: [synthesize(GateSpec.custom(np.eye(4)), 1.0, 1000.0)],
     "int-j-and-n": lambda: _one_segment(0.5, (0, 1, 0.0, 2), j=2, n=100),
-    "non-finite": lambda: _one_segment(1e-3, (-0.0, float("nan"), float("inf"), float("-inf"))),
-    "non-numbers": lambda: _one_segment(1e-3, (True, None, [0.5, {"a": [2]}], "x")),
     "numpy-float": lambda: _one_segment(
         np.float64(1e-3), (np.float64(0.1), 0.0, np.float64(-2.5), 0.0), j=np.float64(1.5)
     ),
@@ -451,20 +448,6 @@ class TestScheduleFile:
             want = json.dumps(schedule.to_dict(), indent=2) + "\n"
             assert path.read_bytes() == want.encode("utf-8")
 
-    def test_failed_save_keeps_the_old_file(self, tmp_path):
-        path = tmp_path / "s.sched"
-        save_schedule(synthesize(GateSpec.cnot(), 1.0, 1000.0), path)
-        before = path.read_bytes()
-        bad = Schedule(
-            (PulseSegment(np.float32(1e-3), ControlAmplitudes(0.0, 0.0, 0.0, 0.0)),),
-            1.0,
-            1000.0,
-            GateSpec.cnot(),
-        )
-        with pytest.raises(TypeError, match="float32 is not JSON serializable"):
-            save_schedule(bad, path)
-        assert path.read_bytes() == before
-
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.sched"
         path.write_text("not json")
@@ -481,6 +464,92 @@ class TestScheduleFile:
         path = tmp_path / "bad2.sched"
         path.write_text(json.dumps({"segments": []}))
         with pytest.raises(ScheduleFormatError):
+            load_schedule(path)
+
+
+class TestScheduleNumbers:
+    """A schedule holds Python floats of magnitude at most 1e150, decided
+    when it is built: ints and numpy numbers convert, anything else raises."""
+
+    def test_python_numbers_save_and_reload(self, tmp_path):
+        # int, numpy.float64, numpy.float32 and numpy.int64 fields, in the
+        # segments and in the cu gamma
+        f32, f64, i64 = np.float32, np.float64, np.int64
+        segments = (
+            PulseSegment(f32(0.001), ControlAmplitudes(250, f64(-125.5), f32(0.1), 0)),
+            PulseSegment(1, ControlAmplitudes(0, 0, 0, 0)),
+            PulseSegment(f64(0.002), ControlAmplitudes(i64(-250), 0.0, f32(62.75), 0.0)),
+        )
+        spec = GateSpec(name="cu", gamma=(f32(0.25), -1, f64(0.5)))
+        s = Schedule(segments, f32(1.5), i64(1000), spec)
+        fields = [s.coupling_j, s.pulse_strength_n, *s.target.gamma]
+        for seg in s.segments:
+            fields += [seg.duration, *seg.amplitudes.as_tuple()]
+        assert all(type(x) is float for x in fields)
+        assert fields[:5] == [1.5, 1000.0, float(f32(0.25)), -1.0, 0.5]
+        path = tmp_path / "s.sched"
+        save_schedule(s, path)
+        assert path.read_text() == json.dumps(s.to_dict(), indent=2) + "\n"
+        again = load_schedule(path)
+        assert again.to_dict() == s.to_dict()
+        assert again.target.unitary().tobytes() == s.target.unitary().tobytes()
+        assert evolve(again).tobytes() == evolve(s).tobytes()
+
+    BAD = [True, np.bool_(False), None, "0.5", [0.5], float("nan"), float("inf"),
+           -float("inf"), 1e151, -1e151, np.nextafter(1e150, 2e150)]
+    BAD_IDS = ["true", "numpy-bool", "none", "str", "list", "nan", "inf", "minus-inf",
+               "1e151", "minus-1e151", "next-after-1e150"]
+
+    @pytest.mark.parametrize("bad", BAD, ids=BAD_IDS)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: ControlAmplitudes(0.0, 0.0, x, 0.0),
+            lambda x: PulseSegment(x, ControlAmplitudes(0.0, 0.0, 0.0, 0.0)),
+            lambda x: Schedule((), x, 1000.0, GateSpec.cnot()),
+            lambda x: Schedule((), 1.0, x, GateSpec.cnot()),
+            lambda x: GateSpec(name="cu", gamma=(0.0, x, 0.0)),
+        ],
+        ids=["amplitude", "duration", "coupling", "pulse-strength", "gamma"],
+    )
+    def test_rejected_at_construction(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_messages(self, bad):
+        with pytest.raises(ValueError, match=r"^amplitude v3 must be finite, .*\(not NaN or Inf\)"):
+            ControlAmplitudes(0.0, 0.0, bad, 0.0)
+        with pytest.raises(ValueError, match=r"^coupling J must be finite, .*\(not NaN or Inf\)"):
+            Schedule((), bad, 1000.0, GateSpec.cnot())
+        with pytest.raises(ValueError, match=r"^gamma must be finite, .*\(not NaN or Inf\)"):
+            GateSpec(name="cu", gamma=(0.0, bad, 0.0))
+
+    def test_bool_gamma_cannot_reach_a_file(self):
+        with pytest.raises(ValueError, match="^gamma must be a number, got True$"):
+            synthesize(GateSpec(name="cu", gamma=(True, 0.0, 0.0)), 1, 1e3)
+
+    def test_synthesize_names_a_pulse_strength_past_the_bound(self):
+        with pytest.raises(ValueError, match=r"^pulse strength N must be finite, at most 1e150"):
+            synthesize(GateSpec.cnot(), 1.0, 1e200)
+
+    @pytest.mark.parametrize("gamma", [(), (0.1, 0.2), (0.1, 0.2, 0.3, 0.4), None])
+    def test_gamma_count(self, gamma):
+        count = 0 if gamma is None else len(gamma)
+        with pytest.raises(ValueError, match=f"^cu needs 3 gamma values, got {count}$"):
+            GateSpec(name="cu", gamma=gamma)
+
+    @pytest.mark.parametrize("where", ["duration_s", "v", "coupling_j_hz", "pulse_strength_n"])
+    def test_past_the_bound_in_a_file(self, tmp_path, where):
+        data = synthesize(GateSpec.cnot(), 1.0, 1000.0).to_dict()
+        if where in ("duration_s", "v"):
+            data["segments"][1][where] = 1e151 if where == "duration_s" else [0.0, 0.0, -1e151, 0.0]
+        else:
+            data[where] = 1e151
+        path = tmp_path / "s.sched"
+        path.write_text(json.dumps(data))
+        too_large = r"must be finite, at most 1e150 in size \(not NaN or Inf\), got -?1e\+151$"
+        with pytest.raises(ScheduleFormatError, match=too_large):
             load_schedule(path)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spinpair.linalg
-from spinpair.errors import NonHermitian, NonUnitary
+from spinpair.errors import NonUnitary, ScheduleFormatError
 from spinpair.gates import CNOT, IDENTITY4, SQRT_SWAP, SWAP
 from spinpair.linalg import expm_hermitian, max_norm, unitary4
 from spinpair.schedule import (
@@ -120,7 +120,8 @@ def mixed_batch(rng):
 
 def write_schedule(path, schedule, v0):
     """Save ``schedule`` with segment 0's amplitudes replaced by ``v0``;
-    NaN and Infinity are written as JSON tokens, which the loader accepts."""
+    NaN and Infinity are written as JSON tokens, which the JSON reader
+    accepts and the schedule then rejects."""
     data = schedule.to_dict()
     data["segments"][0]["v"] = v0
     path.write_text(json.dumps(data))
@@ -306,58 +307,80 @@ class TestNearUnitaryTarget:
 
 
 class TestInvalidInput:
+    """Inputs that would poison propagation (NaN or Inf) or overflow it (H
+    or a phase t * w past the double range; the test names say which) are
+    rejected when the schedule is loaded or built, so propagation never
+    sees them."""
+
     @pytest.mark.filterwarnings("error")  # no numpy warning beside the error
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_amplitude_is_non_hermitian(self, tmp_path, bad):
         v0 = [0.0, bad, 0.0, 0.0]
         path = write_schedule(tmp_path / "bad.sched", synthesize(GateSpec.cnot(), 1.0, 1000.0), v0)
-        schedule = load_schedule(path)
-        with pytest.raises(NonHermitian, match="NaN or Inf"):
-            evolve(schedule)
-        with pytest.raises(NonHermitian):
-            verify(schedule, CNOT)
+        with pytest.raises(ScheduleFormatError, match="amplitude v2 must be finite, .*NaN or Inf"):
+            load_schedule(path)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            ControlAmplitudes(*v0)
 
     def test_nan_coupling_pulsed(self):
         s = synthesize(GateSpec.cnot(), 1.0, 1000.0)
-        bad = Schedule(s.segments, float("nan"), s.pulse_strength_n, s.target)
-        with pytest.raises(NonHermitian):
-            evolve(bad)
+        with pytest.raises(ValueError, match="^coupling J must be finite, .*NaN or Inf"):
+            Schedule(s.segments, float("nan"), s.pulse_strength_n, s.target)
 
     def test_nan_coupling_drift_only(self):
-        # checked in the segment table, before any arithmetic
-        with pytest.raises(NonHermitian, match="schedule 0, segment 0: .* NaN or Inf"):
-            evolve(drift_only(0.5, j=float("nan")))
+        # checked when the schedule is built, before any arithmetic
+        with pytest.raises(ValueError, match="^coupling J must be finite, .*NaN or Inf"):
+            drift_only(0.5, j=float("nan"))
 
-    @pytest.mark.filterwarnings("error")  # no numpy overflow warning beside the error
     @pytest.mark.parametrize("v0", [0.0, 1e200], ids=["drift", "pulse"])
     def test_overflowing_phase_is_non_unitary(self, v0):
-        # finite inputs whose phase duration * eigenvalue overflows: caught
-        # by the unitarity check of the product
-        segment = PulseSegment(1e200, ControlAmplitudes(v0, 0.0, 0.0, 0.0))
-        s = Schedule((segment,), 1e200, 1e201, GateSpec.cnot())
-        with pytest.raises(NonUnitary, match="NaN or Inf"):
-            evolve(s)
-        with pytest.raises(NonUnitary, match=r"stack index \[1\]"):
-            batch_verify([drift_only(0.5), s], [IDENTITY4, CNOT])
+        # J = 1e200 over a 1e200 s segment would overflow the phase t * w;
+        # each of those numbers is past 1e150.
+        too_large = r"must be finite, at most 1e150 in size \(not NaN or Inf\), got 1e\+20[01]$"
+        with pytest.raises(ValueError, match="^segment duration " + too_large):
+            PulseSegment(1e200, ControlAmplitudes(0.0, 0.0, 0.0, 0.0))
+        if v0:
+            with pytest.raises(ValueError, match="^amplitude v1 " + too_large):
+                ControlAmplitudes(v0, 0.0, 0.0, 0.0)
+        segment = PulseSegment(0.5, ControlAmplitudes(0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="^coupling J " + too_large):
+            Schedule((segment,), 1e200, 1e201, GateSpec.cnot())
+        with pytest.raises(ValueError, match="^pulse strength N " + too_large):
+            Schedule((segment,), 1.0, 1e201, GateSpec.cnot())
 
-    @pytest.mark.filterwarnings("error")  # no numpy overflow warning beside the error
     @pytest.mark.parametrize(
         "v2, j", [(1e308, 1.0), (500.0, 1.5e308)], ids=["amplitude", "coupling"]
     )
     def test_overflowing_hamiltonian_is_non_hermitian(self, v2, j):
-        # finite inputs whose H overflows: pi * v2, or the drift J * pi / 2
+        # pi * v2, or the drift J * pi / 2, would overflow H
         s = synthesize(GateSpec.cnot(), 1.0, 1000.0)
-        first = PulseSegment(s.segments[0].duration, ControlAmplitudes(0.0, v2, 0.0, 250.0))
-        bad = Schedule((first, *s.segments[1:]), j, s.pulse_strength_n, s.target)
-        with pytest.raises(NonHermitian, match="^schedule 0, segment 0: Hamiltonian overflows"):
-            evolve(bad)
-        with pytest.raises(NonHermitian, match="^schedule 1, segment 0: Hamiltonian overflows"):
-            batch_verify([s, bad], [CNOT, CNOT])
+        with pytest.raises(ValueError, match=r"at most 1e150 in size \(not NaN or Inf\), got"):
+            first = PulseSegment(s.segments[0].duration, ControlAmplitudes(0.0, v2, 0.0, 250.0))
+            Schedule((first, *s.segments[1:]), j, s.pulse_strength_n, s.target)
 
     def test_one_bad_schedule_fails_the_batch(self):
-        good = synthesize(GateSpec.cnot(), 1.0, 1000.0)
-        with pytest.raises(NonHermitian, match="schedule 1, segment 0: "):
-            batch_verify([good, drift_only(0.5, j=float("nan"))], [CNOT, IDENTITY4])
+        # A bad schedule cannot be built, so no batch holds one.
+        with pytest.raises(ValueError, match="^coupling J must be finite"):
+            batch_verify(
+                [synthesize(GateSpec.cnot(), 1.0, 1000.0), drift_only(0.5, j=float("nan"))],
+                [CNOT, IDENTITY4],
+            )
+
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_largest_numbers_propagate(self, sign):
+        # J, every amplitude and every duration at the bound: H and the
+        # phases stay finite, and the product is unitary to roundoff.
+        big = 1e150
+        segments = (
+            PulseSegment(big, ControlAmplitudes(sign * big, sign * big, -sign * big, sign * big)),
+            PulseSegment(big, ControlAmplitudes(0.0, 0.0, 0.0, 0.0)),
+        )
+        s = Schedule(segments, big, big, GateSpec.cnot())
+        u = evolve(s)
+        assert max_norm(u.conj().T @ u - np.eye(4)) < 1e-14
+        reports = batch_verify([drift_only(0.5), s], [IDENTITY4, CNOT])
+        assert reports[1].u_final.tobytes() == u.tobytes()
 
 
 class TestSkippedWork:
