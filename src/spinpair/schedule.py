@@ -42,6 +42,8 @@ from __future__ import annotations
 import contextvars
 import json
 import math
+import os
+import stat
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -372,7 +374,13 @@ def save_schedule(schedule: Schedule, path) -> None:
     """Write ``json.dumps(schedule.to_dict(), indent=2)`` and a newline to
     ``path`` in one write, the text built before the file is opened.  Every
     number is a finite Python float (see ``ControlAmplitudes``), which ``%r``
-    spells as json does."""
+    spells as json does.
+
+    An existing file is overwritten in place: opened without ``O_TRUNC`` (a
+    truncating open costs far more than the write on ext4), written from
+    offset 0 and then cut to the text's length.  The inode and path are those
+    ``open(path, "w")`` uses, so links and permissions are kept; a device or
+    pipe, which ``O_TRUNC`` leaves alone, cannot be cut and is not."""
     segments = ",\n".join(
         _SEGMENT % (s.duration, *s.amplitudes.as_tuple()) for s in schedule.segments
     )
@@ -382,8 +390,14 @@ def save_schedule(schedule: Schedule, path) -> None:
         json.dumps(schedule.target.to_dict(), indent=2).replace("\n", "\n  "),
         "[\n%s\n  ]" % segments if segments else "[]",
     )
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", opener=_open_in_place) as fh:
         fh.write(text)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
+def _open_in_place(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def load_schedule(path) -> Schedule:

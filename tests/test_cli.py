@@ -638,6 +638,43 @@ class TestShellEntryPoint:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    def test_schedule_to_stdout_pipe(self, tmp_path, capsys):
+        # stdout is a pipe, which cannot be truncated: the file text comes
+        # first, then the report.
+        argv = ["schedule", "--gate", "cnot", "--coupling", "1", "--pulse-strength", "1000"]
+        path = tmp_path / "cnot.sched"
+        save_schedule(synthesize(GateSpec.cnot(), 1.0, 1000.0), path)
+        code, report, _ = run_cli(capsys, *argv, "-o", os.devnull)
+        assert code == 0
+        proc = self.run(tmp_path, *argv, "-o", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == path.read_text() + report.replace(os.devnull, "/dev/stdout")
+
+
+class TestScheduleOutputPath:
+    ARGV = ("schedule", "--gate", "swap", "--coupling", "1", "--pulse-strength", "1000")
+
+    def test_dev_null(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGV, "-o", os.devnull)
+        assert (code, err) == (0, "")
+        assert os.devnull in out
+
+    def test_directory_exits_2_with_one_error_line(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, *self.ARGV, "-o", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_read_only_file_exits_2_and_is_kept(self, capsys, tmp_path):
+        path = tmp_path / "s.sched"
+        path.write_bytes(b"x" * 10_000)
+        path.chmod(0o444)
+        if os.access(path, os.W_OK):
+            pytest.skip("this user may write read-only files (root)")
+        code, out, err = run_cli(capsys, *self.ARGV, "-o", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert path.read_bytes() == b"x" * 10_000
+
 
 class TestScheduleAndVerify:
     def test_cnot_end_to_end(self, capsys, tmp_path):

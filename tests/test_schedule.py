@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -447,6 +449,72 @@ class TestScheduleFile:
             save_schedule(schedule, path)
             want = json.dumps(schedule.to_dict(), indent=2) + "\n"
             assert path.read_bytes() == want.encode("utf-8")
+
+    # Overwriting a file: the same bytes, inode, links and permission bits as
+    # a truncating ``open(path, "w")``.
+    @staticmethod
+    def _cnot():
+        s = synthesize(GateSpec(name="cnot"), 1.0, 1000.0)
+        return s, (json.dumps(s.to_dict(), indent=2) + "\n").encode("utf-8")
+
+    def test_overwrite_longer_file(self, tmp_path, rng):
+        path = tmp_path / "s.sched"
+        save_schedule(synthesize(GateSpec.custom(haar_unitary(rng)), 1.0, 1e4), path)
+        s, want = self._cnot()
+        assert path.stat().st_size > len(want)
+        save_schedule(s, path)
+        assert path.read_bytes() == want
+
+    def test_overwrite_through_symlink(self, tmp_path):
+        target, link = tmp_path / "target.sched", tmp_path / "link.sched"
+        target.write_bytes(b"x" * 10_000)
+        link.symlink_to(target)
+        s, want = self._cnot()
+        save_schedule(s, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == want
+
+    def test_overwrite_keeps_hard_link(self, tmp_path):
+        path, other = tmp_path / "a.sched", tmp_path / "b.sched"
+        path.write_bytes(b"x" * 10_000)
+        os.link(path, other)
+        s, want = self._cnot()
+        save_schedule(s, path)
+        assert os.path.samefile(path, other)
+        assert other.read_bytes() == want
+
+    def test_overwrite_keeps_mode(self, tmp_path):
+        path = tmp_path / "s.sched"
+        path.write_bytes(b"x" * 10_000)
+        path.chmod(0o640)
+        save_schedule(self._cnot()[0], path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("umask", [0o002, 0o027])
+    def test_new_file_mode_follows_umask(self, tmp_path, umask):
+        path = tmp_path / "s.sched"
+        old = os.umask(umask)
+        try:
+            save_schedule(self._cnot()[0], path)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_dev_null(self):
+        save_schedule(self._cnot()[0], os.devnull)
+
+    def test_opens_without_truncating(self, tmp_path, monkeypatch):
+        # A truncating open costs more than the whole write; the file is cut
+        # to length after the write instead.
+        flags, os_open = [], os.open
+
+        def recording_open(path, f, *args):
+            flags.append(f)
+            return os_open(path, f, *args)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        save_schedule(self._cnot()[0], tmp_path / "s.sched")
+        assert flags and not any(f & os.O_TRUNC for f in flags)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.sched"
