@@ -68,7 +68,7 @@ def _print_report(report: dict, args) -> None:
     if args.degrees:
         report = dict(_in_degrees(key, value) for key, value in report.items())
     if args.output == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
     else:
         print("\n".join(_text_lines("", report)))
 

@@ -360,12 +360,15 @@ def min_time(u, coupling_j: float) -> MinTimeReport:
 
     Raises:
         NonPositiveCoupling: if coupling_j is not finite and positive.
+        ValueError: if pi * coupling_j or t* is not finite (J past the doubles' range).
         NonRealG2, PositiveDiscriminant, ResidualTooLarge: if the invariants
             are not those of a unitary or the coordinates miss the cubic.
     """
     require_coupling(coupling_j)
     coords, inv, abc = _analyze(u)
-    t_star = coords.total / (np.pi * coupling_j)
+    t_star = coords.total / (rate := np.pi * coupling_j)
+    if not (math.isfinite(rate) and math.isfinite(t_star)):
+        raise ValueError(f"coupling J = {coupling_j} gives a pi*J or t* that is not finite")
     return MinTimeReport(
         coords=coords,
         t_star=float(t_star),

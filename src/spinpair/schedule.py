@@ -167,6 +167,13 @@ def _object(where: str, value) -> Mapping:
     return value
 
 
+def _only(keys, data: Mapping, where: str, rule: str = "takes no") -> None:
+    """ScheduleFormatError '{where} {rule} {sorted keys of data not in keys}'.  Called
+    once every key in ``keys`` has been read from ``data``, so equal sizes mean no other."""
+    if len(data) != len(keys):
+        raise ScheduleFormatError(f"{where} {rule} {', '.join(sorted(set(data) - keys))}")
+
+
 def matrix_from_dict(data) -> np.ndarray:
     """Inverse of ``matrix_to_dict``; ScheduleFormatError unless exactly two
     4x4 arrays of numbers, 're' and 'im'."""
@@ -178,9 +185,7 @@ def matrix_from_dict(data) -> np.ndarray:
         if len(rows) != 4 or any(len(row) != 4 for row in rows):
             raise ScheduleFormatError(f"matrix '{key}' must be a 4x4 array, row-major")
         parts.append(rows)
-    unused = sorted(set(data) - {"re", "im"})
-    if unused:
-        raise ScheduleFormatError(f"a matrix takes only 're' and 'im', not {', '.join(unused)}")
+    _only({"re", "im"}, data, "a matrix", "takes only 're' and 'im', not")
     re, im = np.array(parts)
     with np.errstate(invalid="ignore"):  # 1j * inf is NaN + inf j, which unitary4 rejects
         return re + 1j * im
@@ -191,7 +196,7 @@ def read_json(path, what: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_int=float)  # so 10**400 reads as inf, as 1e400 does
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError, deep nesting
             raise ScheduleFormatError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -280,11 +285,7 @@ class GateSpec:
         except KeyError as exc:
             raise ScheduleFormatError(f"malformed gate description: {exc}") from exc
         keys = {"cu": {"name", "gamma"}, "custom": {"name", "matrix"}}.get(spec.name, {"name"})
-        unused = sorted(set(data) - keys)
-        if unused:
-            raise ScheduleFormatError(
-                f"malformed gate description: a {spec.name} target takes no {', '.join(unused)}"
-            )
+        _only(keys, data, f"malformed gate description: a {spec.name} target")
         return spec
 
     def label(self) -> str:
@@ -299,16 +300,22 @@ class Schedule:
     coupling_j: float
     pulse_strength_n: float
     target: GateSpec
+    # The segments as one read-only (S, 5) array, a row (duration, v1..v4) each.
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        j, n = self.coupling_j, self.pulse_strength_n
-        if not (type(j) is float and 0.0 < j <= _SAFE_ENTRY):
-            j = _checked("coupling J", j)
-            if j <= 0:
-                raise NonPositiveCoupling(f"coupling J must be positive, got {j}")
-            object.__setattr__(self, "coupling_j", j)
-        if not (type(n) is float and 0.0 < n <= _SAFE_ENTRY):
-            object.__setattr__(self, "pulse_strength_n", _checked("pulse strength N", n, True))
+        j = _checked("coupling J", self.coupling_j)
+        if j <= 0:
+            raise NonPositiveCoupling(f"coupling J must be positive, got {j}")
+        n = _checked("pulse strength N", self.pulse_strength_n, True)
+        rows = []  # flat: numpy reads one list of floats far faster than rows of tuples
+        for s in self.segments:
+            rows.append(s.duration)
+            rows += s.amplitudes.as_tuple()
+        table = np.array(rows, dtype=float).reshape(-1, 5)
+        table.flags.writeable = False
+        for name, value in (("coupling_j", j), ("pulse_strength_n", n), ("table", table)):
+            object.__setattr__(self, name, value)
 
     @property
     def declared_drift_time(self) -> float:
@@ -318,17 +325,14 @@ class Schedule:
 
     @property
     def wall_time(self) -> float:
-        return float(sum(s.duration for s in self.segments))
+        return float(sum(self.table[:, 0].tolist()))  # left to right, unlike np.sum
 
     def to_dict(self) -> dict:
         return {
             "coupling_j_hz": self.coupling_j,
             "pulse_strength_n": self.pulse_strength_n,
             "target": self.target.to_dict(),
-            "segments": [
-                {"duration_s": s.duration, "v": list(s.amplitudes.as_tuple())}
-                for s in self.segments
-            ],
+            "segments": [{"duration_s": d, "v": v} for d, *v in self.table.tolist()],
         }
 
     @classmethod
@@ -342,10 +346,13 @@ class Schedule:
                 v = _numbers(f"{where} 'v'", seg["v"])
                 if len(v) != 4:
                     raise ScheduleFormatError(f"{where} needs 4 amplitudes, got {len(v)}")
+                _only({"duration_s", "v"}, seg, where)
                 segments.append(PulseSegment(duration, ControlAmplitudes(*v)))
             target = GateSpec.from_dict(data["target"])
             j = _number("malformed schedule: 'coupling_j_hz'", data["coupling_j_hz"])
             n = _number("malformed schedule: 'pulse_strength_n'", data["pulse_strength_n"])
+            _only({"coupling_j_hz", "pulse_strength_n", "target", "segments"}, data,
+                  "malformed schedule: a schedule")
             return cls(tuple(segments), j, n, target)
         except (KeyError, ValueError) as exc:
             raise ScheduleFormatError(f"malformed schedule: {exc}") from exc
@@ -381,9 +388,7 @@ def save_schedule(schedule: Schedule, path) -> None:
     offset 0 and then cut to the text's length.  The inode and path are those
     ``open(path, "w")`` uses, so links and permissions are kept; a device or
     pipe, which ``O_TRUNC`` leaves alone, cannot be cut and is not."""
-    segments = ",\n".join(
-        _SEGMENT % (s.duration, *s.amplitudes.as_tuple()) for s in schedule.segments
-    )
+    segments = ",\n".join(_SEGMENT % tuple(row) for row in schedule.table.tolist())
     text = _FILE % (
         schedule.coupling_j,
         schedule.pulse_strength_n,

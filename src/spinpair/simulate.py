@@ -5,18 +5,17 @@ propagator exp(-i t H) is computed spectrally and the only deviation from the
 target gate is the physical hard-pulse error (drift running during local
 pulses), which vanishes as the pulse strength N grows.
 
-Propagation is batched: the segments of every schedule in a call are gathered
-into one table and go through one stacked eigendecomposition, free-drift
-segments included (LAPACK returns the exact eigenbasis of the diagonal drift,
-so their propagators equal the closed form bit for bit).  One schedule is a
-batch of one.  A schedule's numbers were checked when it was built; only
-the unitarity of the product is checked here.
+Propagation is batched: the ``Schedule.table`` rows of every schedule in a
+call are padded into one table and go through one stacked eigendecomposition,
+free-drift segments included (LAPACK returns the exact eigenbasis of the
+diagonal drift, so their propagators equal the closed form bit for bit).  One
+schedule is a batch of one.  A schedule's numbers were checked when it was
+built; only the unitarity of the product is checked here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -35,9 +34,6 @@ from .schedule import Schedule
 
 # Drift per hertz of coupling, H_d = J * DRIFT_TERM; diagonal.
 DRIFT_TERM = (np.pi / 2) * ZZ
-# Pads a shorter schedule in a batch: a zero-length step with H = 0, whose
-# propagator is exactly the identity.
-_IDLE = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 # Control operators H1..H4 = pi * (x/y on qubit 1/2); J-independent.
 CONTROL_TERMS = (
@@ -69,16 +65,11 @@ class SimulationReport:
 def _propagate(schedules: list[Schedule]) -> np.ndarray:
     """Propagators of one or more schedules, shape (B, 4, 4), drift on in
     every segment."""
-    # One row (duration, v1..v4, J) per segment, in time order across the
-    # batch: row p*B + b is segment p of schedule b, or an idle row past its end.
-    table = np.array(
-        [
-            _IDLE if seg is None else (seg.duration, *seg.amplitudes.as_tuple(), s.coupling_j)
-            for row in zip_longest(*(s.segments for s in schedules))
-            for s, seg in zip(schedules, row)
-        ],
-        dtype=float,
-    ).reshape(-1, 6)
+    # Row p*B + b is segment p of schedule b, all zeros (the identity) past its end.
+    table = np.zeros((max(len(s.table) for s in schedules), len(schedules), 6))
+    for b, s in enumerate(schedules):
+        table[: len(s.table), b, :5], table[: len(s.table), b, 5] = s.table, s.coupling_j
+    table = table.reshape(-1, 6)
     duration, amplitudes, coupling = table[:, 0], table[:, 1:5], table[:, 5]
 
     # H = H_d + v1 H1 + ... + v4 H4, summed left to right; one stacked eigh.

@@ -328,9 +328,12 @@ class TestInvalidScalars:
             ("schedule", "--gate", "cnot", "--coupling", "0", "--pulse-strength", "1000"),
             ("schedule", "--gate", "cnot", "--coupling=-1", "--pulse-strength", "1000"),
             ("kak", "--gate", "cu", "--gamma1", "inf"),
+            ("mintime", "--gate", "cnot", "--coupling", "1e-320", "--output", "json"),
+            ("mintime", "--gate", "cnot", "--coupling", "1e308"),
         ],
         ids=["mintime-nan-coupling", "mintime-inf-coupling", "schedule-zero-coupling",
-             "schedule-negative-coupling", "kak-inf-gamma"],
+             "schedule-negative-coupling", "kak-inf-gamma", "mintime-t-star-overflow",
+             "mintime-pi-j-overflow"],
     )
     def test_exits_2_with_one_error_line(self, capsys, argv):
         # "error" turns any numpy RuntimeWarning into an exception, which
@@ -339,6 +342,19 @@ class TestInvalidScalars:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "finite" in err
+
+    def test_json_report_never_spells_nan(self, capsys, monkeypatch):
+        # A report holding NaN or Infinity is not JSON: one error line, exit 2.
+        from dataclasses import replace
+
+        from spinpair.mintime import min_time
+
+        monkeypatch.setattr(cli, "min_time", lambda u, j: replace(min_time(u, j), t_star=np.inf))
+        code, out, err = run_cli(capsys, "mintime", "--gate", "cnot", "--coupling", "1",
+                                 "--output", "json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert err.count("\n") == 1
 
 
 class TestHugeMatrix:
@@ -571,6 +587,10 @@ JSON_TYPE_CASES = {
                         "malformed schedule: segment 0 must be an object, got [1.0]"),
     "segment-null": (("segments", 1), None,
                      "malformed schedule: segment 1 must be an object, got None"),
+    "schedule-unknown-key": (("pulse_strenght_n",), 1000.0,
+                             "malformed schedule: a schedule takes no pulse_strenght_n"),
+    "segment-unknown-key": (("segments", 1, "duraton_s"), 0.5,
+                            "malformed schedule: segment 1 takes no duraton_s"),
     **{
         f"matrix-{case}": (("target",), {"name": "custom", "matrix": matrix}, message)
         for case, (matrix, message) in MATRIX_CASES.items()
@@ -1055,8 +1075,12 @@ class TestRejectedInput:
         assert err == f"error: pulse strength N must be finite, got {strength}\n"
         assert not out_path.exists()
 
+    # 100 000 nested arrays: past the interpreter's recursion limit in json.load.
+    DEEPLY_NESTED = b"[" * 100_000 + b"]" * 100_000
+
     @pytest.mark.parametrize(
-        "content", [b"{not json", b"\xff\xfe"], ids=["malformed", "not-utf8"]
+        "content", [b"{not json", b"\xff\xfe", DEEPLY_NESTED, b'{"a":' * 100_000 + b"}" * 100_000],
+        ids=["malformed", "not-utf8", "deeply-nested", "deeply-nested-objects"],
     )
     def test_unreadable_matrix_file_exits_2(self, capsys, tmp_path, content):
         path = tmp_path / "bad.mat"
@@ -1073,3 +1097,12 @@ class TestRejectedInput:
             code, out, err = run_cli(capsys, command, "--schedule", str(path))
             assert (code, out) == (2, "")
             assert err.startswith("error: schedule file is not valid JSON: ")
+
+    def test_deeply_nested_schedule_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.sched"
+        path.write_bytes(self.DEEPLY_NESTED)
+        for command in ("simulate", "verify"):
+            code, out, err = run_cli(capsys, command, "--schedule", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: schedule file is not valid JSON: maximum recursion")
+            assert err.count("\n") == 1

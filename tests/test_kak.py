@@ -17,7 +17,7 @@ from spinpair.kak import (
     reconstruct,
 )
 from spinpair.linalg import I2, SIGMA_X, SIGMA_Y, ZZ, expm_hermitian, kron, max_norm, rotation
-from spinpair.mintime import CanonicalCoordinates, canonical_coords
+from spinpair.mintime import CanonicalCoordinates, canonical_coords, min_time
 
 from conftest import haar_unitary, random_local, random_su2, weyl_gate
 from test_kak_equivalence import GATE_SETS
@@ -287,6 +287,41 @@ class TestEigenbasisRetry:
         for u in inputs:
             kak_decompose(u)
         assert fallbacks == [0] * len(inputs)
+
+
+class TestFixedCombinationCollision:
+    """Why the eigenbasis is not one eigh of a fixed real combination.
+
+    m = O diag(exp(2i theta)) O^T, so Re m + W Im m has the eigenvalues
+    sqrt(1 + W^2) cos(2 theta_k - atan W): two phases with theta_0 + theta_1 =
+    atan W meet exactly, and that one eigh leaves their eigenvectors mixed.
+    Re m keeps them apart (cos 2 theta_0 != cos 2 theta_1), so the cluster
+    route of ``_real_orthogonal_eigenbasis`` still decomposes every such gate.
+    """
+
+    @staticmethod
+    def _gates(count):
+        rng = np.random.default_rng(27)
+        so4 = TestEigenbasisRetry._so4
+        for _ in range(count):
+            theta_0 = rng.uniform(-np.pi / 2, np.pi / 2)
+            pair = (theta_0, np.arctan(kak._FALLBACK_WEIGHT) - theta_0)
+            theta = np.array([*pair, *rng.uniform(-np.pi / 2, np.pi / 2, 2)])
+            ub = so4(rng) @ np.diag(np.exp(1j * theta)) @ so4(rng).T
+            yield ub.T @ ub, spinpair.invariants.MAGIC @ ub @ spinpair.invariants.MAGIC_DAG
+
+    def test_cluster_route_decomposes_what_the_combination_cannot(self):
+        for m, u in self._gates(50):
+            combination = (m.real + m.real.T) / 2 + kak._FALLBACK_WEIGHT * (m.imag + m.imag.T) / 2
+            w, q = np.linalg.eigh(combination)
+            assert np.diff(w).min() <= 1e-12  # the collision
+            assert kak._eigen_residual(m, q)[0] > 1e-7  # past the DegenerateSpectrum bound
+
+            d = kak_decompose(u)
+            assert max_norm(reconstruct(d) - u) <= 1e-12
+            c1, c2, c3 = d.coords.as_tuple()
+            want = np.array(min_time(u, 1.0).coords.as_tuple())
+            assert max_norm(want - (c1, c2, abs(c3))) <= 1e-14
 
 
 class TestCanonicalizeExtremePhases:

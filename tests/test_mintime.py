@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,18 @@ class TestMinTime:
     def test_rejects_bad_coupling(self):
         with pytest.raises(NonPositiveCoupling):
             min_time(CNOT, 0.0)
+
+    @pytest.mark.parametrize("j", [1e-320, 5e-324, 1e308, 1.7e308], ids=str)
+    def test_rejects_coupling_whose_time_overflows(self, j):
+        # 1e-320: t* = (pi/2) / (pi J) is inf.  1e308: pi J is inf and t* 0.0.
+        message = f"coupling J = {j!r} gives a pi*J or t* that is not finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            min_time(CNOT, j)
+
+    @pytest.mark.parametrize("j, t_star", [(5e307, 1e-308), (1e-300, 5e299)])
+    def test_finite_time_keeps_its_bits(self, j, t_star):
+        assert min_time(CNOT, j).t_star == (np.pi / 2) / (np.pi * j) == t_star
+        assert min_time(IDENTITY4, 1e-320).t_star == 0.0
 
     @pytest.mark.filterwarnings("error")  # no numpy overflow warning beside the error
     def test_rejects_huge_finite_input(self):

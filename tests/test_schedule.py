@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -619,6 +620,80 @@ class TestScheduleNumbers:
         too_large = r"must be finite, at most 1e150 in size \(not NaN or Inf\), got -?1e\+151$"
         with pytest.raises(ScheduleFormatError, match=too_large):
             load_schedule(path)
+
+
+def _reloaded(tmp_path):
+    path = tmp_path / "haar.sched"
+    save_schedule(_haar_schedules(1.0, 1e4)[0], path)
+    return [load_schedule(path)]
+
+
+def _numpy_numbers():
+    # The schedule of ``TestScheduleNumbers.test_python_numbers_save_and_reload``.
+    f32, f64, i64 = np.float32, np.float64, np.int64
+    segments = (
+        PulseSegment(f32(0.001), ControlAmplitudes(250, f64(-125.5), f32(0.1), 0)),
+        PulseSegment(1, ControlAmplitudes(0, 0, 0, 0)),
+        PulseSegment(f64(0.002), ControlAmplitudes(i64(-250), 0.0, f32(62.75), 0.0)),
+    )
+    spec = GateSpec(name="cu", gamma=(f32(0.25), -1, f64(0.5)))
+    return [Schedule(segments, f32(1.5), i64(1000), spec)]
+
+
+# (tmp_path -> schedules) whose table is checked against their segments.
+TABLE_CORPUS = {
+    **{name: lambda tmp_path, name=name: [synthesize(GateSpec(name=name), 2.5, 1000.0)]
+       for name in REFERENCE_GATES},
+    "cu": lambda tmp_path: [synthesize(GateSpec.controlled_u(0.3, -1.1, 0.7), 1.0, 1e4)],
+    "haar": lambda tmp_path: _haar_schedules(1.0, 1e4),
+    "reloaded": _reloaded,
+    "empty": lambda tmp_path: [Schedule((), 1.0, 1000.0, GateSpec.cnot())],
+    "numpy-numbers": lambda tmp_path: _numpy_numbers(),
+    "signed-zeros": lambda tmp_path: _one_segment(0.5, (-0.0, 0.0, -0.0, 2.0)),
+}
+
+
+class TestScheduleTable:
+    """``Schedule.table``: the segments as one read-only (S, 5) float64 array,
+    a row (duration, v1, v2, v3, v4) per segment in time order, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(TABLE_CORPUS))
+    def test_rows_are_the_segments(self, tmp_path, case):
+        for schedule in TABLE_CORPUS[case](tmp_path):
+            table = schedule.table
+            assert table.shape == (len(schedule.segments), 5)
+            assert table.dtype == np.float64
+            numbers = [x for s in schedule.segments for x in (s.duration, *s.amplitudes.as_tuple())]
+            # struct keeps the sign of a zero, so -0.0 and 0.0 differ here.
+            assert table.tobytes() == struct.pack(f"{len(numbers)}d", *numbers)
+
+    @pytest.mark.parametrize("case", list(TABLE_CORPUS))
+    def test_read_only(self, tmp_path, case):
+        for schedule in TABLE_CORPUS[case](tmp_path):
+            with pytest.raises(ValueError, match="read-only"):
+                schedule.table[...] = 0.0
+            if len(schedule.table):
+                with pytest.raises(ValueError, match="read-only"):
+                    schedule.table[0, 1] = 1.0
+
+    def test_not_a_constructor_argument(self):
+        with pytest.raises(TypeError, match="table"):
+            Schedule((), 1.0, 1000.0, GateSpec.cnot(), table=np.zeros((0, 5)))
+
+
+class TestUnknownKeys:
+    def test_sorted_and_joined(self):
+        data = synthesize(GateSpec.cnot(), 1.0, 1000.0).to_dict()
+        segment = data["segments"][0]
+        segment.update(zeta=1.0, alpha=2.0)
+        with pytest.raises(ScheduleFormatError, match="^malformed schedule: segment 0 takes no "
+                                                      "alpha, zeta$"):
+            Schedule.from_dict(data)
+        del segment["zeta"], segment["alpha"]
+        data.update(zeta=1.0, alpha=2.0)
+        with pytest.raises(ScheduleFormatError, match="^malformed schedule: a schedule takes no "
+                                                      "alpha, zeta$"):
+            Schedule.from_dict(data)
 
 
 class TestValidation:
