@@ -168,7 +168,7 @@ def cmd_schedule(args) -> dict:
     schedule = synthesize(gate, args.coupling, args.pulse_strength)
     report = {
         "gate": gate.label(),
-        "segments": len(schedule.segments),
+        "segments": len(schedule.table),
         "wall_time_s": schedule.wall_time,
         "drift_time_s": schedule.declared_drift_time,
     }

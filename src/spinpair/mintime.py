@@ -365,6 +365,7 @@ def min_time(u, coupling_j: float) -> MinTimeReport:
             are not those of a unitary or the coordinates miss the cubic.
     """
     require_coupling(coupling_j)
+    coupling_j = float(coupling_j)  # a numpy J would carry its own precision into t*
     coords, inv, abc = _analyze(u)
     t_star = coords.total / (rate := np.pi * coupling_j)
     if not (math.isfinite(rate) and math.isfinite(t_star)):

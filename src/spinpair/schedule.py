@@ -18,10 +18,14 @@ conjugated drift window (the drift natively accumulates negative ZZ phase, so
 a positive coordinate needs a pi x-pulse sandwich on the second qubit).
 
 No builder states a drift time.  A segment is free drift when all four
-amplitudes are exactly 0.0 (``ControlAmplitudes.is_zero``, the one place the
-rule lives; propagation treats every segment alike), and ``Schedule`` reads
-its drift time as the sum of those segments' durations, for synthesized and
-loaded schedules alike.
+amplitudes are exactly 0.0 (``_free_drift``, the one place the rule lives;
+propagation treats every segment alike), and ``Schedule`` reads its drift
+time as the sum of those segments' durations, for synthesized and loaded
+schedules alike.
+
+The builders emit flat rows (duration, v1, v2, v3, v4) of Python floats, the
+table of the schedule ``synthesize`` returns; its ``segments`` are built from
+that table when first read.
 
 A schedule's numbers are decided when it is built: amplitudes, durations,
 J, N and a cu gamma are Python floats within 1e150 (``linalg._SAFE_ENTRY``;
@@ -117,9 +121,15 @@ class ControlAmplitudes:
 
     @property
     def is_zero(self) -> bool:
-        """Free drift: all four amplitudes exactly 0.0 (-0.0 included), the
-        segments whose durations make up the schedule's drift time."""
-        return self.v1 == 0.0 and self.v2 == 0.0 and self.v3 == 0.0 and self.v4 == 0.0
+        """Free drift (``_free_drift``): the segments whose durations make up
+        the schedule's drift time."""
+        return _free_drift(self.v1, self.v2, self.v3, self.v4)
+
+
+def _free_drift(v1: float, v2: float, v3: float, v4: float) -> bool:
+    """The drift rule: all four amplitudes exactly 0.0, -0.0 included (NaN is
+    true, so never drift)."""
+    return not (v1 or v2 or v3 or v4)
 
 
 @dataclass(frozen=True)
@@ -130,6 +140,12 @@ class PulseSegment:
     def __post_init__(self):
         if not (type(self.duration) is float and 0.0 < self.duration <= _SAFE_ENTRY):
             object.__setattr__(self, "duration", _checked("segment duration", self.duration, True))
+
+
+def _check_rows(rows) -> None:
+    """Raise the ValueError of the first number out of range in flat rows."""
+    for i in range(0, len(rows), 5):
+        PulseSegment(rows[i], ControlAmplitudes(*rows[i + 1 : i + 5]))
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
@@ -304,24 +320,51 @@ class Schedule:
     table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        j = _checked("coupling J", self.coupling_j)
-        if j <= 0:
-            raise NonPositiveCoupling(f"coupling J must be positive, got {j}")
-        n = _checked("pulse strength N", self.pulse_strength_n, True)
         rows = []  # flat: numpy reads one list of floats far faster than rows of tuples
         for s in self.segments:
             rows.append(s.duration)
             rows += s.amplitudes.as_tuple()
-        table = np.array(rows, dtype=float).reshape(-1, 5)
+        self._settle(self.coupling_j, self.pulse_strength_n, np.array(rows, dtype=float))
+
+    @classmethod
+    def _from_rows(cls, rows, coupling_j, pulse_strength_n, target: GateSpec) -> "Schedule":
+        """The schedule of flat (duration, v1..v4) rows, whose ``segments`` are
+        built from its table when first read."""
+        table = np.array(rows, dtype=float)
+        # One test of every number: durations in (0, 1e150], amplitudes within 1e150.
+        if not (table[::5].min(initial=1.0) > 0 and abs(table).max(initial=0.0) <= _SAFE_ENTRY):
+            _check_rows(rows)
+        schedule = cls.__new__(cls)
+        object.__setattr__(schedule, "target", target)
+        schedule._settle(coupling_j, pulse_strength_n, table)
+        return schedule
+
+    def _settle(self, j, n, flat: np.ndarray) -> None:
+        """Check J and N, and keep them as floats with the read-only table."""
+        j = _checked("coupling J", j)
+        if j <= 0:
+            raise NonPositiveCoupling(f"coupling J must be positive, got {j}")
+        n = _checked("pulse strength N", n, True)
+        table = flat.reshape(-1, 5)
         table.flags.writeable = False
         for name, value in (("coupling_j", j), ("pulse_strength_n", n), ("table", table)):
             object.__setattr__(self, name, value)
 
+    def __getattr__(self, name):
+        # Only a schedule from ``_from_rows`` lacks ``segments``; its segments
+        # are the table's rows, built on first read.
+        if name != "segments":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        segments = tuple(PulseSegment(d, ControlAmplitudes(*v)) for d, *v in self.table.tolist())
+        object.__setattr__(self, "segments", segments)
+        return segments
+
     @property
     def declared_drift_time(self) -> float:
         """Total duration of the free-drift segments, in time order; read from
-        the segments, never declared by the caller."""
-        return float(sum(s.duration for s in self.segments if s.amplitudes.is_zero))
+        the table, never declared by the caller."""
+        rows = self.table.tolist()
+        return float(sum(d for d, v1, v2, v3, v4 in rows if _free_drift(v1, v2, v3, v4)))
 
     @property
     def wall_time(self) -> float:
@@ -445,63 +488,57 @@ def _xyx_angles(k) -> list[tuple[float, float, float]]:
     return angles
 
 
-def _pulse(axis: str, q1_angle: float, q2_angle: float, n: float) -> list[PulseSegment]:
-    """One merged hard-pulse segment rotating both qubits about one axis.
+def _pulse(axis: str, q1_angle: float, q2_angle: float, n: float) -> tuple[float, ...]:
+    """One merged hard-pulse segment rotating both qubits about one axis, as
+    a row (duration, v1, v2, v3, v4), or no row for angles within 1e-12.
 
     The qubit with the larger rotation runs at amplitude exactly +-N/2; the
     other is scaled down so both finish together.
     """
     peak = max(abs(q1_angle), abs(q2_angle))
     if peak <= 1e-12:
-        return []
+        return ()
     duration = peak / (np.pi * n)
-    v = [0.0, 0.0, 0.0, 0.0]
-    slot1 = 0 if axis == "x" else 1
-    slot2 = 2 if axis == "x" else 3
-    v[slot1] = (q1_angle / peak) * (n / 2)
-    v[slot2] = (q2_angle / peak) * (n / 2)
-    return [PulseSegment(duration, ControlAmplitudes(*v))]
+    q1, q2 = (q1_angle / peak) * (n / 2), (q2_angle / peak) * (n / 2)
+    return (duration, q1, 0.0, q2, 0.0) if axis == "x" else (duration, 0.0, q1, 0.0, q2)
 
 
-def _drift(duration: float) -> PulseSegment:
-    return PulseSegment(duration, ControlAmplitudes(0.0, 0.0, 0.0, 0.0))
+def _drift(duration: float) -> tuple[float, ...]:
+    return (duration, 0.0, 0.0, 0.0, 0.0)
 
 
-def _local_stages(a_angles, b_angles, n: float) -> list[PulseSegment]:
+def _local_stages(a_angles, b_angles, n: float) -> tuple[float, ...]:
     """Render a local pair a (x) b, given the XYX angles of both factors, as
-    merged X, Y, X pulse stages (time order)."""
+    merged X, Y, X pulse stages (time order), flat rows."""
     (a1, b1, d1), (a2, b2, d2) = a_angles, b_angles
     return _pulse("x", d1, d2, n) + _pulse("y", b1, b2, n) + _pulse("x", a1, a2, n)
 
 
-def _cnot_segments(coupling_j: float, n: float) -> tuple[PulseSegment, ...]:
+def _cnot_segments(coupling_j: float, n: float) -> tuple[float, ...]:
     # One free-drift window of 1/(2J) framed by four hard pulses.
     tau = 1.0 / n
     return (
-        PulseSegment(tau, ControlAmplitudes(0.0, n / 2, 0.0, n / 4)),
-        _drift(1.0 / (2 * coupling_j)),
-        PulseSegment(tau, ControlAmplitudes(0.0, -n / 4, 0.0, -n / 4)),
-        PulseSegment(tau, ControlAmplitudes(-n / 4, 0.0, -n / 4, 0.0)),
-        PulseSegment(tau, ControlAmplitudes(0.0, -n / 4, 0.0, 0.0)),
+        tau, 0.0, n / 2, 0.0, n / 4,
+        *_drift(1.0 / (2 * coupling_j)),
+        tau, 0.0, -n / 4, 0.0, -n / 4,
+        tau, -n / 4, 0.0, -n / 4, 0.0,
+        tau, 0.0, -n / 4, 0.0, 0.0,
     )
 
 
-def _swap_family_segments(drift_duration: float, n: float) -> tuple[PulseSegment, ...]:
+def _swap_family_segments(drift_duration: float, n: float) -> tuple[float, ...]:
     # Three equal drift windows conjugated onto the ZZ, YY and XX axes.  The
     # pulse train realizes, right to left in time:
     #   exp(i/4(H2-H4)) D exp(-i/4(H2-H4)) exp(-i/4(H1-H3)) D
     #   exp(-i/4(H1+H3)) D exp(i/2 H1)
     half = np.pi / 2
-    segments = []
-    segments += _pulse("x", -np.pi, 0.0, n)
-    segments.append(_drift(drift_duration))
-    segments += _pulse("x", half, half, n)
-    segments.append(_drift(drift_duration))
-    segments += _pulse("x", half, -half, n)
-    segments += _pulse("y", half, -half, n)
-    segments.append(_drift(drift_duration))
-    segments += _pulse("y", -half, half, n)
-    return tuple(segments)
+    drift = _drift(drift_duration)
+    return (
+        _pulse("x", -np.pi, 0.0, n) + drift
+        + _pulse("x", half, half, n) + drift
+        + _pulse("x", half, -half, n) + _pulse("y", half, -half, n) + drift
+        + _pulse("y", -half, half, n)
+    )
 
 
 # The paper's reference gates: name -> (matrix, segment builder (J, N)).  Every
@@ -524,22 +561,24 @@ _WINDOWS = (
 )
 
 
-def _kak_segments(u, coupling_j: float, n: float) -> tuple[PulseSegment, ...]:
+def _kak_segments(u, coupling_j: float, n: float) -> list[float]:
     decomposition = kak_decompose(u)
     k1, k2 = decomposition.k1, decomposition.k2
     # ``LocalGate`` has already applied ``euler_xyx``'s SU(2) check to all four.
     angles = _xyx_angles(np.stack([k2.a, k2.b, k1.a, k1.b]))
-    segments = _local_stages(angles[0], angles[1], n)
+    rows = list(_local_stages(angles[0], angles[1], n))
     for index, axis, before, after in _WINDOWS:
         c = decomposition.coords.as_tuple()[index]
         if abs(c) <= COORD_SKIP:
             continue
-        window = [_drift(abs(c) / (np.pi * coupling_j))]
+        window = _drift(abs(c) / (np.pi * coupling_j))
+        if not window[0] <= _SAFE_ENTRY:  # errors name a drift before its window's pulses
+            _check_rows([*rows, *window])
         if c > 0:
             window = _pulse(axis, *before, n) + window + _pulse(axis, *after, n)
-        segments += window
-    segments += _local_stages(angles[2], angles[3], n)
-    return tuple(segments)
+        rows += window
+    rows += _local_stages(angles[2], angles[3], n)
+    return rows
 
 
 def synthesize(spec: GateSpec, coupling_j: float, pulse_strength_n: float) -> Schedule:
@@ -549,16 +588,17 @@ def synthesize(spec: GateSpec, coupling_j: float, pulse_strength_n: float) -> Sc
     analytic minimal time of the gate; all pulse segments shrink as 1/N.
     """
     require_coupling(coupling_j)
+    j = float(coupling_j)  # a numpy J would carry its own precision into every duration
     if not np.isfinite(pulse_strength_n):
         raise ValueError(f"pulse strength N must be finite, got {pulse_strength_n}")
-    if pulse_strength_n < 10 * coupling_j:
+    if pulse_strength_n < 10 * j:
         raise HardPulseRegimeViolated(
             f"pulse strength N = {pulse_strength_n} below hard-pulse threshold "
-            f"10*J = {10 * coupling_j}"
+            f"10*J = {10 * j}"
         )
     n = _checked("pulse strength N", pulse_strength_n, True)
     if spec.name in REFERENCE_GATES:
-        segments = REFERENCE_GATES[spec.name][1](coupling_j, n)
+        rows = REFERENCE_GATES[spec.name][1](j, n)
     else:
-        segments = _kak_segments(spec.unitary(), coupling_j, n)
-    return Schedule(segments, coupling_j, n, spec)
+        rows = _kak_segments(spec.unitary(), j, n)
+    return Schedule._from_rows(rows, coupling_j, n, spec)

@@ -10,7 +10,9 @@ factor.  The current code must give the same factors, coordinates, global
 phase and pulse segments.  At coordinates that are exactly 0 the
 decomposition is not unique and the canonicalization moves follow the last
 bit of the eigenvalues, so agreement there needs the same arithmetic, not
-only the same mathematics.
+only the same mathematics.  `_pulse` and `_drift` are that path's segment
+builders, copied here as written, so the reference does not use the
+builders under test.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ from spinpair.kak import (
 )
 from spinpair.linalg import max_norm, unitary4
 from spinpair.mintime import CanonicalCoordinates
-from spinpair.schedule import COORD_SKIP, GateSpec, _drift, _pulse, synthesize
+from spinpair.schedule import COORD_SKIP, ControlAmplitudes, GateSpec, PulseSegment, synthesize
 
 from conftest import EDGE_VALUES, haar_unitary, weyl_gate
 
@@ -191,6 +193,23 @@ def _reference_euler(k):
     s = np.arctan2(cc, ca)
     d = np.arctan2(sd, sb)
     return float(s + d), beta, float(s - d)
+
+
+def _pulse(axis, q1_angle, q2_angle, n):
+    peak = max(abs(q1_angle), abs(q2_angle))
+    if peak <= 1e-12:
+        return []
+    duration = peak / (np.pi * n)
+    v = [0.0, 0.0, 0.0, 0.0]
+    slot1 = 0 if axis == "x" else 1
+    slot2 = 2 if axis == "x" else 3
+    v[slot1] = (q1_angle / peak) * (n / 2)
+    v[slot2] = (q2_angle / peak) * (n / 2)
+    return [PulseSegment(duration, ControlAmplitudes(*v))]
+
+
+def _drift(duration):
+    return PulseSegment(duration, ControlAmplitudes(0.0, 0.0, 0.0, 0.0))
 
 
 def _reference_stages(a, b, n):

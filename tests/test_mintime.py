@@ -219,6 +219,23 @@ class TestMinTime:
         assert min_time(CNOT, j).t_star == (np.pi / 2) / (np.pi * j) == t_star
         assert min_time(IDENTITY4, 1e-320).t_star == 0.0
 
+    def test_numpy_coupling_is_read_as_a_float(self):
+        # float32 arithmetic would give t* = 0.1666666716337204.
+        report = min_time(CNOT, np.float32(3.0))
+        assert report.t_star == 1 / 6
+        assert type(report.coupling_j) is float
+
+    @pytest.mark.parametrize("j", [3, np.int64(3), np.float64(3.0), np.float64(2.5)], ids=repr)
+    def test_coupling_types_keep_their_bits(self, j):
+        assert min_time(SWAP, j).t_star == min_time(SWAP, float(j)).t_star
+
+    @pytest.mark.filterwarnings("error")  # no numpy overflow warning before the error
+    @pytest.mark.parametrize("j", [np.float64(1e-320), np.float64(1e308)], ids=repr)
+    def test_numpy_coupling_whose_time_overflows(self, j):
+        message = f"coupling J = {float(j)!r} gives a pi*J or t* that is not finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            min_time(CNOT, j)
+
     @pytest.mark.filterwarnings("error")  # no numpy overflow warning beside the error
     def test_rejects_huge_finite_input(self):
         with pytest.raises(NonUnitary, match="= inf exceeds tolerance"):

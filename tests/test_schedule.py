@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import re
 import stat
 import struct
 
 import numpy as np
 import pytest
 
+from spinpair import cli
 from spinpair.errors import HardPulseRegimeViolated, NonPositiveCoupling, ScheduleFormatError
 from spinpair.gates import CNOT, SQRT_SWAP, SWAP
 from spinpair.linalg import max_norm, rotation
@@ -27,7 +29,7 @@ from spinpair.schedule import (
 )
 from spinpair.simulate import evolve
 
-from conftest import haar_unitary, random_su2
+from conftest import bench_module, haar_unitary, random_su2
 from test_kak_equivalence import _reference_euler
 
 
@@ -602,6 +604,25 @@ class TestScheduleNumbers:
         with pytest.raises(ValueError, match=r"^pulse strength N must be finite, at most 1e150"):
             synthesize(GateSpec.cnot(), 1.0, 1e200)
 
+    @pytest.mark.parametrize(
+        "spec, j, n, got",
+        [
+            (GateSpec.cnot(), 1e-160, 1e-159, 1e159),  # the first pulse, 1/N
+            (GateSpec.cnot(), 1e-160, 1.0, 5e159),  # the drift window, 1/(2J)
+            (GateSpec.cnot(), 5e-324, 1.0, float("inf")),
+            # The c3 window's drift, 0.045 / (pi J), and its sandwich pulses, 1/N,
+            # are both too long: the drift is named first.
+            (GateSpec.custom(bench_module("gen").haar_batch(3, 9)[8]), 1e-152, 9e-151,
+             0.045056211432582316 / (np.pi * 1e-152)),
+        ],
+        ids=["pulse", "drift", "infinite-drift", "window-drift"],
+    )
+    def test_synthesize_names_the_first_duration_past_the_bound(self, spec, j, n, got):
+        rule = "finite and positive" if got == float("inf") else "finite, at most 1e150 in size"
+        message = f"^segment duration must be {rule}.*, got {re.escape(repr(got))}$"
+        with pytest.raises(ValueError, match=message):
+            synthesize(spec, j, n)
+
     @pytest.mark.parametrize("gamma", [(), (0.1, 0.2), (0.1, 0.2, 0.3, 0.4), None])
     def test_gamma_count(self, gamma):
         count = 0 if gamma is None else len(gamma)
@@ -679,6 +700,75 @@ class TestScheduleTable:
     def test_not_a_constructor_argument(self):
         with pytest.raises(TypeError, match="table"):
             Schedule((), 1.0, 1000.0, GateSpec.cnot(), table=np.zeros((0, 5)))
+
+
+def _synthesis_specs():
+    specs = [GateSpec.cnot(), GateSpec.swap(), GateSpec.sqrt_swap(), GateSpec.controlled_u(0.3, -1.1, 0.7)]
+    return specs + [GateSpec.custom(haar_unitary(np.random.default_rng(28)))]
+
+
+SYNTHESIS_IDS = ["cnot", "swap", "sqrtswap", "cu", "haar"]
+
+
+class TestCouplingTypes:
+    """J is read as a Python float once, on entry: a numpy J of the same value
+    gives the same schedule, and a huge one fails as a float does."""
+
+    def test_float32_drift_windows(self):
+        cnot = synthesize(GateSpec.cnot(), np.float32(3.0), 1e3)
+        assert cnot.coupling_j == 3.0
+        assert [d for d, *v in cnot.table.tolist() if not any(v)] == [1 / 6]
+        # float32 windows would sum to 0.5000000149011612
+        assert synthesize(GateSpec.swap(), np.float32(3.0), 1e3).declared_drift_time == 0.5
+
+    @pytest.mark.parametrize("j", [3, np.int64(3), np.float64(3.0), np.float32(3.0)], ids=repr)
+    @pytest.mark.parametrize("spec", _synthesis_specs(), ids=SYNTHESIS_IDS)
+    def test_same_table_as_a_python_float(self, spec, j):
+        assert synthesize(spec, j, 1e3).table.tobytes() == synthesize(spec, 3.0, 1e3).table.tobytes()
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning from 10 * J
+    def test_huge_numpy_coupling_is_below_the_threshold(self):
+        with pytest.raises(HardPulseRegimeViolated, match=r"10\*J = inf$"):
+            synthesize(GateSpec.cnot(), np.float64(1e308), 1e4)
+
+
+class TestSegmentsOnFirstRead:
+    """Synthesis writes the table; ``PulseSegment`` and ``ControlAmplitudes``
+    objects are built only when ``segments`` is read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        names = []
+        for cls in (PulseSegment, ControlAmplitudes):
+            def counting(self, post_init=cls.__post_init__):
+                names.append(type(self).__name__)
+                post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return names
+
+    @pytest.mark.parametrize("spec", _synthesis_specs(), ids=SYNTHESIS_IDS)
+    def test_none_until_read(self, tmp_path, built, spec):
+        s = synthesize(spec, 1.0, 1e4)
+        s.declared_drift_time, s.wall_time, s.to_dict(), evolve(s)
+        save_schedule(s, tmp_path / "s.sched")
+        assert built == []
+        segments = s.segments
+        assert built == ["ControlAmplitudes", "PulseSegment"] * len(s.table)
+        assert s.segments is segments
+
+    def test_cli_schedule_builds_none(self, tmp_path, capsys, built):
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps(matrix_to_dict(haar_unitary(np.random.default_rng(28)))))
+        gates = [("--gate", name) for name in REFERENCE_GATES]
+        gates += [("--gate", "cu", "--gamma1", "0.3", "--gamma2", "-1.1", "--gamma3", "0.7"),
+                  ("--matrix", str(matrix))]
+        for gate in gates:
+            argv = ["schedule", *gate, "--coupling", "1", "--pulse-strength", "1e4",
+                    "-o", str(tmp_path / "s.sched"), "--output", "json"]
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().out.count('"segments"') == len(gates)
+        assert built == []
 
 
 class TestUnknownKeys:

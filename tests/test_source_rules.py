@@ -1,12 +1,16 @@
 """Rules on the library source that no runtime test sees."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "spinpair").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "spinpair").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -42,3 +46,16 @@ def test_print_only_in_the_cli_output_path():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         calls.update(_print_calls(tree, path.stem))
     assert calls == {"cli._print_report": 2, "cli.main": 1}
+
+
+def test_runtime_dependency_is_numpy_only():
+    # A fresh interpreter importing the package and its CLI loads numpy,
+    # spinpair and the standard library, nothing else.
+    code = (
+        "import sys; before = set(sys.modules); import spinpair, spinpair.cli; "
+        "print(*{name.partition('.')[0] for name in set(sys.modules) - before})"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True).stdout.split())
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "spinpair"}
