@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -24,6 +23,7 @@ from .mintime import canonical_coords, min_time
 from .schedule import (
     REFERENCE_GATES,
     GateSpec,
+    _json,
     load_schedule,
     matrix_from_dict,
     matrix_to_dict,
@@ -65,10 +65,12 @@ def _fmt(x: float) -> str:
 
 
 def _print_report(report: dict, args) -> None:
+    """Print ``report`` as ``json.dumps(report, indent=2)`` would (``_json``)
+    or as ``key = value`` lines, after ``--degrees``' renaming."""
     if args.degrees:
         report = dict(_in_degrees(key, value) for key, value in report.items())
     if args.output == "json":
-        print(json.dumps(report, indent=2, allow_nan=False))
+        print(_json(report))
     else:
         print("\n".join(_text_lines("", report)))
 

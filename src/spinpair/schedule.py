@@ -23,9 +23,9 @@ propagation treats every segment alike), and ``Schedule`` reads its drift
 time as the sum of those segments' durations, for synthesized and loaded
 schedules alike.
 
-The builders emit flat rows (duration, v1, v2, v3, v4) of Python floats, the
-table of the schedule ``synthesize`` returns; its ``segments`` are built from
-that table when first read.
+The builders emit flat rows (duration, v1, v2, v3, v4) of Python floats, and
+``Schedule.from_dict`` reads a file's segments into such rows; the schedule's
+``segments`` are built from its table when first read, loaded or synthesized.
 
 A schedule's numbers are decided when it is built: amplitudes, durations,
 J, N and a cu gamma are Python floats within 1e150 (``linalg._SAFE_ENTRY``;
@@ -156,6 +156,8 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 def _number(where: str, value, error=ScheduleFormatError) -> float:
     """``value`` as a float if it is a JSON number (from Python, also a numpy
     integer or float; never a bool), else ``error`` naming ``where``."""
+    if type(value) is float:
+        return value
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
         return float(value)
     raise error(f"{where} must be a number, got {value!r}")
@@ -178,6 +180,8 @@ def _numbers(where: str, value) -> list[float]:
 
 def _object(where: str, value) -> Mapping:
     """``value`` if it is a JSON object (from Python, any mapping)."""
+    if type(value) is dict:
+        return value
     if not isinstance(value, Mapping):
         raise ScheduleFormatError(f"{where} must be an object, got {value!r}")
     return value
@@ -380,9 +384,11 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
+        """The schedule of a JSON document, read into flat rows and checked field
+        by field; a number out of range raises its ``PulseSegment``'s error."""
         try:
             data = _object("malformed schedule: a schedule", data)
-            segments = []
+            rows = []
             for i, seg in enumerate(_array("malformed schedule: 'segments'", data["segments"])):
                 where = f"malformed schedule: segment {i}"
                 duration = _number(f"{where} 'duration_s'", _object(where, seg)["duration_s"])
@@ -390,15 +396,48 @@ class Schedule:
                 if len(v) != 4:
                     raise ScheduleFormatError(f"{where} needs 4 amplitudes, got {len(v)}")
                 _only({"duration_s", "v"}, seg, where)
-                segments.append(PulseSegment(duration, ControlAmplitudes(*v)))
+                v1, v2, v3, v4 = v
+                if not (0.0 < duration <= _SAFE_ENTRY and -_SAFE_ENTRY <= v1 <= _SAFE_ENTRY
+                        and -_SAFE_ENTRY <= v2 <= _SAFE_ENTRY and -_SAFE_ENTRY <= v3 <= _SAFE_ENTRY
+                        and -_SAFE_ENTRY <= v4 <= _SAFE_ENTRY):  # False for NaN too
+                    PulseSegment(duration, ControlAmplitudes(*v))  # raises its error
+                rows.append(duration)
+                rows += v
             target = GateSpec.from_dict(data["target"])
             j = _number("malformed schedule: 'coupling_j_hz'", data["coupling_j_hz"])
             n = _number("malformed schedule: 'pulse_strength_n'", data["pulse_strength_n"])
             _only({"coupling_j_hz", "pulse_strength_n", "target", "segments"}, data,
                   "malformed schedule: a schedule")
-            return cls(tuple(segments), j, n, target)
+            return cls._from_rows(rows, j, n, target)
         except (KeyError, ValueError) as exc:
             raise ScheduleFormatError(f"malformed schedule: {exc}") from exc
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)`` with ``pad`` after each
+    newline, for the types reports hold, tested in json's order; any other value
+    (a non-finite float, a key that is not a str) goes to ``json.dumps``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if -math.inf < value < math.inf:
+            return float.__repr__(value)
+    elif isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        items = [_json(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]" if items else "[]"
+    elif isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        inner = pad + "  "
+        items = [_quote(key) + ": " + _json(x, inner) for key, x in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}" if items else "{}"
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + pad)
 
 
 # The file and one of its segments in json's indent-2 layout.
@@ -422,9 +461,9 @@ _SEGMENT = """    {
 
 def save_schedule(schedule: Schedule, path) -> None:
     """Write ``json.dumps(schedule.to_dict(), indent=2)`` and a newline to
-    ``path`` in one write, the text built before the file is opened.  Every
-    number is a finite Python float (see ``ControlAmplitudes``), which ``%r``
-    spells as json does.
+    ``path`` in one write, the text built first from the templates and, for
+    the target, ``_json``.  Every number is a finite Python float (see
+    ``ControlAmplitudes``), which ``%r`` spells as json does.
 
     An existing file is overwritten in place: opened without ``O_TRUNC`` (a
     truncating open costs far more than the write on ext4), written from
@@ -435,7 +474,7 @@ def save_schedule(schedule: Schedule, path) -> None:
     text = _FILE % (
         schedule.coupling_j,
         schedule.pulse_strength_n,
-        json.dumps(schedule.target.to_dict(), indent=2).replace("\n", "\n  "),
+        _json(schedule.target.to_dict(), "  "),
         "[\n%s\n  ]" % segments if segments else "[]",
     )
     with open(path, "w", encoding="utf-8", opener=_open_in_place) as fh:

@@ -770,6 +770,34 @@ class TestSegmentsOnFirstRead:
         assert capsys.readouterr().out.count('"segments"') == len(gates)
         assert built == []
 
+    @pytest.mark.parametrize("spec", _synthesis_specs(), ids=SYNTHESIS_IDS)
+    def test_loaded_none_until_read(self, tmp_path, built, spec):
+        saved = synthesize(spec, 1.0, 1e4)
+        save_schedule(saved, tmp_path / "s.sched")
+        s = load_schedule(tmp_path / "s.sched")
+        s.declared_drift_time, s.wall_time, s.to_dict(), evolve(s)
+        save_schedule(s, tmp_path / "again.sched")
+        assert built == []
+        segments = s.segments
+        assert built == ["ControlAmplitudes", "PulseSegment"] * len(s.table)
+        assert s.segments is segments
+        assert segments == saved.segments
+
+    def test_cli_verify_builds_none(self, tmp_path, capsys, built):
+        matrix = tmp_path / "m.json"
+        matrix.write_text(json.dumps(matrix_to_dict(haar_unitary(np.random.default_rng(29)))))
+        gates = [("--gate", name) for name in REFERENCE_GATES]
+        gates += [("--gate", "cu", "--gamma1", "0.3", "--gamma2", "-1.1", "--gamma3", "0.7"),
+                  ("--matrix", str(matrix))]
+        path = str(tmp_path / "s.sched")
+        for gate in gates:
+            assert cli.main(["schedule", *gate, "--coupling", "1", "--pulse-strength", "1e4",
+                             "-o", path]) == 0
+            assert cli.main(["verify", "--schedule", path, "--output", "json"]) == 0
+            assert cli.main(["simulate", "--schedule", path]) == 0
+        assert capsys.readouterr().out.count('"pass": true') == len(gates)
+        assert built == []
+
 
 class TestUnknownKeys:
     def test_sorted_and_joined(self):
