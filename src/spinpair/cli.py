@@ -250,9 +250,10 @@ _COMMANDS = (
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on the first call and returned by
-    every later one (``main`` reuses it; do not modify it)."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and, by name, the command parsers attached to it;
+    built on the first call and shared by every later one (do not modify
+    them)."""
     parser = argparse.ArgumentParser(
         prog="spinpair",
         description="Two-qubit gate invariants, minimal times and hard-pulse schedules "
@@ -260,16 +261,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, handler, help_text, options in _COMMANDS:
-        p = sub.add_parser(name, help=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text)
         for flags, kwargs in options:
             p.add_argument(*flags, **kwargs)
         p.set_defaults(func=handler)
-    return parser
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and returned by
+    every later one (do not modify it).  ``main`` parses as its
+    ``parse_args`` does, in one pass where it can (``_parse``)."""
+    return _parsers()[0]
+
+
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass where it can be: when
+    ``argv[0]`` is a command word, that command's parser reads the rest.
+    Every other argv goes to the full parser, for its usage and errors: one
+    without a command word first, one the command's parser leaves arguments
+    of unread, and one with an argument ``--=...``, which the full parser
+    rejects as ambiguous (--help or --version) before a command parser runs."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None and not any(a.startswith("--=") for a in argv):
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command ``argv`` (default ``sys.argv[1:]``) names, print its
+    report and return the exit code.  Arguments argparse rejects raise
+    SystemExit(2), and -h and --version SystemExit(0), after printing."""
+    args = _parse(argv)
     try:
         with tol_scale(args.tol_scale):
             report = args.func(args)

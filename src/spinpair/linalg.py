@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonHermitian, NonUnitary
+from .errors import NonHermitian, NonUnitary, ScheduleFormatError
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,6 +35,16 @@ CONSTRUCTION_TOL = 1e-10  # user-supplied matrices are admitted by GateSpec.cust
 # entries) or H - H†; larger ones, NaN and Inf take the checks' slow path.
 # It also bounds every number a schedule holds (see ``schedule``).
 _SAFE_ENTRY = 1e150
+
+
+def _number(where: str, value, error=ScheduleFormatError) -> float:
+    """``value`` as a float if it is a JSON number (from Python, also a numpy
+    integer or float; never a bool), else ``error`` naming ``where``."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise error(f"{where} must be a number, got {value!r}")
 
 
 def max_norm(m) -> float:

@@ -45,6 +45,7 @@ from .invariants import (
     _needs_pi_branch,
     abc_from_invariants,
 )
+from .linalg import _number
 
 DISCRIMINANT_TOL = 1e-9  # above this the input cannot come from a unitary
 # The tangent (double-root) case is detected relative to the discriminant's
@@ -340,10 +341,13 @@ def _analyze(u) -> tuple[CanonicalCoordinates, LocalInvariants, ABCTriple]:
     return coords, inv, abc
 
 
-def require_coupling(coupling_j: float) -> None:
-    """Raise ``NonPositiveCoupling`` unless J is finite and positive."""
-    if not (math.isfinite(coupling_j) and coupling_j > 0):
+def require_coupling(coupling_j: float) -> float:
+    """J as a float, read by ``_number``'s rule (ValueError for a bool, None
+    or str); ``NonPositiveCoupling`` unless it is finite and positive."""
+    j = _number("coupling J", coupling_j, ValueError)
+    if not (math.isfinite(j) and j > 0):
         raise NonPositiveCoupling(f"coupling J must be finite and positive, got {coupling_j}")
+    return j
 
 
 def canonical_coords(u) -> CanonicalCoordinates:
@@ -360,12 +364,12 @@ def min_time(u, coupling_j: float) -> MinTimeReport:
 
     Raises:
         NonPositiveCoupling: if coupling_j is not finite and positive.
-        ValueError: if pi * coupling_j or t* is not finite (J past the doubles' range).
+        ValueError: if coupling_j is not a number (a bool, None or str), or
+            pi * coupling_j or t* is not finite (J past the doubles' range).
         NonRealG2, PositiveDiscriminant, ResidualTooLarge: if the invariants
             are not those of a unitary or the coordinates miss the cubic.
     """
-    require_coupling(coupling_j)
-    coupling_j = float(coupling_j)  # a numpy J would carry its own precision into t*
+    coupling_j = require_coupling(coupling_j)  # a float: a numpy J would carry its own precision
     coords, inv, abc = _analyze(u)
     t_star = coords.total / (rate := np.pi * coupling_j)
     if not (math.isfinite(rate) and math.isfinite(t_star)):

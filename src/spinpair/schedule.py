@@ -57,7 +57,7 @@ import numpy as np
 from .errors import HardPulseRegimeViolated, NonPositiveCoupling, ScheduleFormatError
 from .gates import CNOT, SQRT_SWAP, SWAP, controlled_u
 from .kak import LocalGate, _require_su2, kak_decompose
-from .linalg import _SAFE_ENTRY, nearest_unitary, unitary4
+from .linalg import _SAFE_ENTRY, _number, nearest_unitary, unitary4
 from .mintime import require_coupling
 
 COORD_SKIP = 1e-12  # interaction coordinates below this emit no segment
@@ -68,11 +68,13 @@ _scale = contextvars.ContextVar("tol_scale", default=1.0)
 
 @contextmanager
 def tol_scale(factor: float):
-    """Scale the custom-matrix input tolerance by ``factor`` (finite, > 0)
-    for the ``with`` block, then restore the caller's scale."""
-    if not (math.isfinite(factor) and factor > 0):
+    """Scale the custom-matrix input tolerance by ``factor`` (a number by
+    ``_number``'s rule, finite, > 0; ValueError otherwise) for the ``with``
+    block, then restore the caller's scale."""
+    x = _number("tolerance scale", factor, ValueError)
+    if not (math.isfinite(x) and x > 0):
         raise ValueError(f"tolerance scale must be finite and positive, got {factor}")
-    token = _scale.set(float(factor))
+    token = _scale.set(x)
     try:
         yield
     finally:
@@ -151,16 +153,6 @@ def _check_rows(rows) -> None:
 def matrix_to_dict(m: np.ndarray) -> dict:
     """The JSON form of a complex matrix: row-major 're' and 'im' arrays."""
     return {"re": m.real.tolist(), "im": m.imag.tolist()}
-
-
-def _number(where: str, value, error=ScheduleFormatError) -> float:
-    """``value`` as a float if it is a JSON number (from Python, also a numpy
-    integer or float; never a bool), else ``error`` naming ``where``."""
-    if type(value) is float:
-        return value
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        return float(value)
-    raise error(f"{where} must be a number, got {value!r}")
 
 
 def _array(where: str, value):
@@ -626,8 +618,8 @@ def synthesize(spec: GateSpec, coupling_j: float, pulse_strength_n: float) -> Sc
     The total duration of the zero-amplitude (free drift) segments equals the
     analytic minimal time of the gate; all pulse segments shrink as 1/N.
     """
-    require_coupling(coupling_j)
-    j = float(coupling_j)  # a numpy J would carry its own precision into every duration
+    j = require_coupling(coupling_j)  # a float: a numpy J would carry its own precision
+    _number("pulse strength N", pulse_strength_n, ValueError)  # a bool, None or str stops here
     if not np.isfinite(pulse_strength_n):
         raise ValueError(f"pulse strength N must be finite, got {pulse_strength_n}")
     if pulse_strength_n < 10 * j:

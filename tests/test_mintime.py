@@ -207,6 +207,13 @@ class TestMinTime:
         with pytest.raises(NonPositiveCoupling):
             min_time(CNOT, 0.0)
 
+    @pytest.mark.parametrize("j", [None, "1", True], ids=repr)
+    def test_rejects_a_coupling_that_is_not_a_number(self, j):
+        message = f"coupling J must be a number, got {j!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+            min_time(CNOT, j)
+        assert excinfo.type is ValueError
+
     @pytest.mark.parametrize("j", [1e-320, 5e-324, 1e308, 1.7e308], ids=str)
     def test_rejects_coupling_whose_time_overflows(self, j):
         # 1e-320: t* = (pi/2) / (pi J) is inf.  1e308: pi J is inf and t* 0.0.

@@ -204,6 +204,19 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="pulse strength N must be finite"):
             synthesize(spec, 1.0, n)
 
+    @pytest.mark.parametrize(
+        "j, n, field, value",
+        [(1.0, None, "pulse strength N", None), (1.0, "1e4", "pulse strength N", "1e4"),
+         (1.0, True, "pulse strength N", True), (None, 1e4, "coupling J", None),
+         ("1", 1e4, "coupling J", "1"), (True, 1e4, "coupling J", True)],
+        ids=["n-None", "n-str", "n-bool", "j-None", "j-str", "j-bool"],
+    )
+    def test_rejects_a_value_that_is_not_a_number(self, j, n, field, value):
+        message = f"{field} must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+            synthesize(GateSpec.cnot(), j, n)
+        assert excinfo.type is ValueError
+
 
 NAMED = [GateSpec.cnot(), GateSpec.swap(), GateSpec.sqrt_swap()]
 
