@@ -43,7 +43,10 @@ def _number(where: str, value, error=ScheduleFormatError) -> float:
     if type(value) is float:
         return value
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int past the double range, read as JSON reads it
+            return np.inf if value > 0 else -np.inf
     raise error(f"{where} must be a number, got {value!r}")
 
 

@@ -27,10 +27,11 @@ The builders emit flat rows (duration, v1, v2, v3, v4) of Python floats, and
 ``Schedule.from_dict`` reads a file's segments into such rows; the schedule's
 ``segments`` are built from its table when first read, loaded or synthesized.
 
-A schedule's numbers are decided when it is built: amplitudes, durations,
-J, N and a cu gamma are Python floats within 1e150 (``linalg._SAFE_ENTRY``;
-ints and numpy numbers convert as ``_number`` reads them, anything else
-raises ValueError), so propagation cannot overflow and ``%r`` spells them.
+A schedule's numbers are decided when it is built, by one rule (``_check``):
+amplitudes, durations, J, N and a cu gamma are Python floats within 1e150
+(``linalg._SAFE_ENTRY``; ints, one past the double range as inf or -inf, and
+numpy numbers convert as ``_number`` reads them, anything else raises
+ValueError), so propagation cannot overflow and ``%r`` spells them.
 
 The one scaled tolerance is the door for outside matrices.  A custom matrix
 (``GateSpec.custom``: CLI ``--matrix`` input and custom targets in schedule
@@ -48,7 +49,7 @@ import json
 import math
 import os
 import stat
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -86,16 +87,37 @@ def input_tolerance() -> float:
     return INPUT_TOL * _scale.get()
 
 
-def _checked(what: str, value, positive: bool = False) -> float:
-    """``value`` as a schedule number: a Python float of magnitude at most
-    ``_SAFE_ENTRY`` (1e150), converted by ``_number``'s rule, and > 0 when
-    ``positive``; ValueError naming ``what`` for anything else."""
-    x = _number(what, value, ValueError)
-    if positive and not 0 < x < math.inf:
-        raise ValueError(f"{what} must be finite and positive, got {x}")
-    if not abs(x) <= _SAFE_ENTRY:  # NaN too
+# A segment row's (column, name, also > 0), in the rule's order: v1..v4, then the duration.
+_ROW_ORDER = (*((k, f"amplitude v{k}", False) for k in range(1, 5)), (0, "segment duration", True))
+
+
+def _check(rows: Sequence[float], layout=_ROW_ORDER) -> Sequence[float]:
+    """The schedule number rule: ``rows`` (flat floats, ``len(layout)`` to a row) if each is at
+    most 1e150 in size (not NaN) and > 0 where marked; else a ValueError names the first."""
+    # min, max and sum of a few floats cost less than numpy's reductions.
+    if rows and not (-_SAFE_ENTRY <= min(rows) and max(rows) <= _SAFE_ENTRY
+                     and (total := sum(rows)) == total  # False for a NaN that min and max skip
+                     and all(min(rows[column::len(layout)]) > 0 for column, _, p in layout if p)):
+        picked = np.array(rows, dtype=float).reshape(-1, len(layout))[:, [c for c, _, _ in layout]]
+        good = (abs(picked) <= _SAFE_ENTRY) & ((picked > 0) | ~np.array([p for *_, p in layout]))
+        first = int(np.argmin(good))  # row by row, in ``layout``'s order within a row
+        x, (_, what, positive) = float(picked.flat[first]), layout[first % len(layout)]
+        if positive and not 0 < x < math.inf:
+            raise ValueError(f"{what} must be finite and positive, got {x}")
         raise ValueError(f"{what} must be finite, at most 1e150 in size (not NaN or Inf), got {x}")
-    return x
+    return rows
+
+
+def _table(rows) -> np.ndarray:
+    """Flat (duration, v1..v4) rows as a read-only (S, 5) table, once ``_check`` passes them."""
+    table = np.array(_check(rows), dtype=float).reshape(-1, 5)
+    table.flags.writeable = False
+    return table
+
+
+def _checked(what: str, value, positive: bool = False) -> float:
+    """``value`` by ``_number``'s rule and then ``_check``'s (> 0 too when ``positive``)."""
+    return _check((_number(what, value, ValueError),), ((0, what, positive),))[0]
 
 
 @dataclass(frozen=True)
@@ -108,15 +130,8 @@ class ControlAmplitudes:
     v4: float
 
     def __post_init__(self):
-        # One test for the common case, four floats in range (False for NaN).
-        v1, v2, v3, v4 = self.v1, self.v2, self.v3, self.v4
-        if not (
-            type(v1) is type(v2) is type(v3) is type(v4) is float
-            and -_SAFE_ENTRY <= v1 <= _SAFE_ENTRY and -_SAFE_ENTRY <= v2 <= _SAFE_ENTRY
-            and -_SAFE_ENTRY <= v3 <= _SAFE_ENTRY and -_SAFE_ENTRY <= v4 <= _SAFE_ENTRY
-        ):
-            for name, v in zip(("v1", "v2", "v3", "v4"), (v1, v2, v3, v4)):
-                object.__setattr__(self, name, _checked(f"amplitude {name}", v))
+        for name, x in zip(("v1", "v2", "v3", "v4"), self.as_tuple()):
+            object.__setattr__(self, name, _checked(f"amplitude {name}", x))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.v1, self.v2, self.v3, self.v4)
@@ -140,14 +155,7 @@ class PulseSegment:
     amplitudes: ControlAmplitudes
 
     def __post_init__(self):
-        if not (type(self.duration) is float and 0.0 < self.duration <= _SAFE_ENTRY):
-            object.__setattr__(self, "duration", _checked("segment duration", self.duration, True))
-
-
-def _check_rows(rows) -> None:
-    """Raise the ValueError of the first number out of range in flat rows."""
-    for i in range(0, len(rows), 5):
-        PulseSegment(rows[i], ControlAmplitudes(*rows[i + 1 : i + 5]))
+        object.__setattr__(self, "duration", _checked("segment duration", self.duration, True))
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
@@ -316,44 +324,23 @@ class Schedule:
     table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = []  # flat: numpy reads one list of floats far faster than rows of tuples
-        for s in self.segments:
-            rows.append(s.duration)
-            rows += s.amplitudes.as_tuple()
-        self._settle(self.coupling_j, self.pulse_strength_n, np.array(rows, dtype=float))
+        rows = [x for s in self.segments for x in (s.duration, *s.amplitudes.as_tuple())]
+        j, n = _coupling_and_strength(self.coupling_j, self.pulse_strength_n)
+        vars(self).update(coupling_j=j, pulse_strength_n=n, table=_table(rows))
 
     @classmethod
-    def _from_rows(cls, rows, coupling_j, pulse_strength_n, target: GateSpec) -> "Schedule":
-        """The schedule of flat (duration, v1..v4) rows, whose ``segments`` are
-        built from its table when first read."""
-        table = np.array(rows, dtype=float)
-        # One test of every number: durations in (0, 1e150], amplitudes within 1e150.
-        if not (table[::5].min(initial=1.0) > 0 and abs(table).max(initial=0.0) <= _SAFE_ENTRY):
-            _check_rows(rows)
+    def _from_table(cls, table: np.ndarray, j: float, n: float, target: GateSpec) -> "Schedule":
+        """A schedule of a ``_table`` and checked J and N; ``segments`` is built on first read."""
         schedule = cls.__new__(cls)
-        object.__setattr__(schedule, "target", target)
-        schedule._settle(coupling_j, pulse_strength_n, table)
+        vars(schedule).update(target=target, coupling_j=j, pulse_strength_n=n, table=table)
         return schedule
 
-    def _settle(self, j, n, flat: np.ndarray) -> None:
-        """Check J and N, and keep them as floats with the read-only table."""
-        j = _checked("coupling J", j)
-        if j <= 0:
-            raise NonPositiveCoupling(f"coupling J must be positive, got {j}")
-        n = _checked("pulse strength N", n, True)
-        table = flat.reshape(-1, 5)
-        table.flags.writeable = False
-        for name, value in (("coupling_j", j), ("pulse_strength_n", n), ("table", table)):
-            object.__setattr__(self, name, value)
-
     def __getattr__(self, name):
-        # Only a schedule from ``_from_rows`` lacks ``segments``; its segments
-        # are the table's rows, built on first read.
+        # Only a schedule from ``_from_table`` lacks ``segments``: the table's rows, read once.
         if name != "segments":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        segments = tuple(PulseSegment(d, ControlAmplitudes(*v)) for d, *v in self.table.tolist())
-        object.__setattr__(self, "segments", segments)
-        return segments
+        views = (PulseSegment(d, ControlAmplitudes(*v)) for d, *v in self.table.tolist())
+        return vars(self).setdefault("segments", tuple(views))
 
     @property
     def declared_drift_time(self) -> float:
@@ -376,33 +363,40 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Schedule":
-        """The schedule of a JSON document, read into flat rows and checked field
-        by field; a number out of range raises its ``PulseSegment``'s error."""
+        """A JSON document's schedule, read field by field and then held to ``_check``'s rule."""
         try:
             data = _object("malformed schedule: a schedule", data)
-            rows = []
-            for i, seg in enumerate(_array("malformed schedule: 'segments'", data["segments"])):
-                where = f"malformed schedule: segment {i}"
-                duration = _number(f"{where} 'duration_s'", _object(where, seg)["duration_s"])
-                v = _numbers(f"{where} 'v'", seg["v"])
-                if len(v) != 4:
-                    raise ScheduleFormatError(f"{where} needs 4 amplitudes, got {len(v)}")
-                _only({"duration_s", "v"}, seg, where)
-                v1, v2, v3, v4 = v
-                if not (0.0 < duration <= _SAFE_ENTRY and -_SAFE_ENTRY <= v1 <= _SAFE_ENTRY
-                        and -_SAFE_ENTRY <= v2 <= _SAFE_ENTRY and -_SAFE_ENTRY <= v3 <= _SAFE_ENTRY
-                        and -_SAFE_ENTRY <= v4 <= _SAFE_ENTRY):  # False for NaN too
-                    PulseSegment(duration, ControlAmplitudes(*v))  # raises its error
-                rows.append(duration)
-                rows += v
+            rows, segments = [], _array("malformed schedule: 'segments'", data["segments"])
+            try:
+                for i, seg in enumerate(segments):
+                    where = f"malformed schedule: segment {i}"
+                    duration = _number(f"{where} 'duration_s'", _object(where, seg)["duration_s"])
+                    v = _numbers(f"{where} 'v'", seg["v"])
+                    if len(v) != 4:
+                        raise ScheduleFormatError(f"{where} needs 4 amplitudes, got {len(v)}")
+                    _only({"duration_s", "v"}, seg, where)
+                    rows.append(duration)
+                    rows += v
+            except (KeyError, ScheduleFormatError):
+                _check(rows)  # a bad number in an earlier segment is named first
+                raise
+            table = _table(rows)
             target = GateSpec.from_dict(data["target"])
             j = _number("malformed schedule: 'coupling_j_hz'", data["coupling_j_hz"])
             n = _number("malformed schedule: 'pulse_strength_n'", data["pulse_strength_n"])
             _only({"coupling_j_hz", "pulse_strength_n", "target", "segments"}, data,
                   "malformed schedule: a schedule")
-            return cls._from_rows(rows, j, n, target)
+            return cls._from_table(table, *_coupling_and_strength(j, n), target)
         except (KeyError, ValueError) as exc:
             raise ScheduleFormatError(f"malformed schedule: {exc}") from exc
+
+
+def _coupling_and_strength(j, n) -> tuple[float, float]:
+    """J and N as schedule numbers (``_checked``), J also > 0."""
+    j = _checked("coupling J", j)
+    if j <= 0:
+        raise NonPositiveCoupling(f"coupling J must be positive, got {j}")
+    return j, _checked("pulse strength N", n, True)
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -455,7 +449,7 @@ def save_schedule(schedule: Schedule, path) -> None:
     """Write ``json.dumps(schedule.to_dict(), indent=2)`` and a newline to
     ``path`` in one write, the text built first from the templates and, for
     the target, ``_json``.  Every number is a finite Python float (see
-    ``ControlAmplitudes``), which ``%r`` spells as json does.
+    ``_check``), which ``%r`` spells as json does.
 
     An existing file is overwritten in place: opened without ``O_TRUNC`` (a
     truncating open costs far more than the write on ext4), written from
@@ -592,24 +586,28 @@ _WINDOWS = (
 )
 
 
-def _kak_segments(u, coupling_j: float, n: float) -> list[float]:
+def _kak_table(u, coupling_j: float, n: float) -> np.ndarray:
     decomposition = kak_decompose(u)
     k1, k2 = decomposition.k1, decomposition.k2
     # ``LocalGate`` has already applied ``euler_xyx``'s SU(2) check to all four.
     angles = _xyx_angles(np.stack([k2.a, k2.b, k1.a, k1.b]))
     rows = list(_local_stages(angles[0], angles[1], n))
+    drift_checks = []  # each sandwiched window's drift, after the rows before its pulses
     for index, axis, before, after in _WINDOWS:
         c = decomposition.coords.as_tuple()[index]
         if abs(c) <= COORD_SKIP:
             continue
         window = _drift(abs(c) / (np.pi * coupling_j))
-        if not window[0] <= _SAFE_ENTRY:  # errors name a drift before its window's pulses
-            _check_rows([*rows, *window])
         if c > 0:
+            drift_checks += [*rows, *window]
             window = _pulse(axis, *before, n) + window + _pulse(axis, *after, n)
         rows += window
     rows += _local_stages(angles[2], angles[3], n)
-    return rows
+    try:
+        return _table(rows)
+    except ValueError:  # an error names a drift before its window's pulses
+        _check(drift_checks)
+        raise
 
 
 def synthesize(spec: GateSpec, coupling_j: float, pulse_strength_n: float) -> Schedule:
@@ -619,17 +617,15 @@ def synthesize(spec: GateSpec, coupling_j: float, pulse_strength_n: float) -> Sc
     analytic minimal time of the gate; all pulse segments shrink as 1/N.
     """
     j = require_coupling(coupling_j)  # a float: a numpy J would carry its own precision
-    _number("pulse strength N", pulse_strength_n, ValueError)  # a bool, None or str stops here
-    if not np.isfinite(pulse_strength_n):
+    n = _number("pulse strength N", pulse_strength_n, ValueError)  # a bool, None or str stops here
+    if not math.isfinite(n):
         raise ValueError(f"pulse strength N must be finite, got {pulse_strength_n}")
     if pulse_strength_n < 10 * j:
-        raise HardPulseRegimeViolated(
-            f"pulse strength N = {pulse_strength_n} below hard-pulse threshold "
-            f"10*J = {10 * j}"
-        )
-    n = _checked("pulse strength N", pulse_strength_n, True)
+        raise HardPulseRegimeViolated(f"pulse strength N = {pulse_strength_n} below "
+                                      f"hard-pulse threshold 10*J = {10 * j}")
+    n = _checked("pulse strength N", n, True)
     if spec.name in REFERENCE_GATES:
-        rows = REFERENCE_GATES[spec.name][1](j, n)
+        table = _table(REFERENCE_GATES[spec.name][1](j, n))
     else:
-        rows = _kak_segments(spec.unitary(), j, n)
-    return Schedule._from_rows(rows, coupling_j, n, spec)
+        table = _kak_table(spec.unitary(), j, n)
+    return Schedule._from_table(table, j, n, spec)

@@ -695,6 +695,15 @@ class TestScheduleOutputPath:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert path.read_bytes() == b"x" * 10_000
 
+    def test_path_below_a_file_exits_2_and_keeps_it(self, capsys, tmp_path):
+        # Not a directory, for root too.
+        path = tmp_path / "file"
+        path.write_bytes(b"x" * 10_000)
+        code, out, err = run_cli(capsys, *self.ARGV, "-o", str(path / "s.sched"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert path.read_bytes() == b"x" * 10_000
+
 
 class TestScheduleAndVerify:
     def test_cnot_end_to_end(self, capsys, tmp_path):

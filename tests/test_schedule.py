@@ -197,12 +197,20 @@ class TestSynthesize:
         with pytest.raises(HardPulseRegimeViolated):
             synthesize(GateSpec.swap(), 1.0, 9.9)
 
-    @pytest.mark.parametrize("n", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"), pytest.param(10**400, id="ten-to-400")])
     @pytest.mark.parametrize("spec", [GateSpec.cnot(), GateSpec.controlled_u(0.4, 0.1, 0.0)],
                              ids=["cnot", "cu"])
     def test_rejects_non_finite_pulse_strength(self, spec, n):
         with pytest.raises(ValueError, match="pulse strength N must be finite"):
             synthesize(spec, 1.0, n)
+
+    def test_an_int_pulse_strength_past_int64_reads_as_its_float(self):
+        # Not the TypeError of np.isfinite on an int numpy cannot hold.
+        with pytest.raises(ValueError) as as_float:
+            synthesize(GateSpec.cnot(), 1.0, 1e300)
+        with pytest.raises(ValueError) as as_int:
+            synthesize(GateSpec.cnot(), 1.0, 10**300)
+        assert str(as_int.value) == str(as_float.value)
 
     @pytest.mark.parametrize(
         "j, n, field, value",
@@ -262,7 +270,9 @@ class TestDriftTime:
             Schedule.from_dict({**s.to_dict(), "coupling_j_hz": j})
 
 
-    @pytest.mark.parametrize("n", [-5.0, 0.0, -0.0, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("n", [-5.0, 0.0, -0.0, float("nan"), float("inf"), -float("inf"),
+                                   pytest.param(10**400, id="ten-to-400"),
+                                   pytest.param(-10**400, id="minus-ten-to-400")])
     def test_rejects_bad_pulse_strength(self, n):
         s = synthesize(GateSpec.cnot(), 1.0, 1000.0)
         with pytest.raises(ValueError, match="pulse strength N must be finite and positive"):

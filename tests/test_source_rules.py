@@ -59,3 +59,31 @@ def test_runtime_dependency_is_numpy_only():
     loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                 text=True, check=True).stdout.split())
     assert loaded - set(sys.stdlib_module_names) == {"numpy", "spinpair"}
+
+
+def _functions_comparing(tree, module, name):
+    """``module.function`` of every comparison of ``name`` in ``tree``."""
+    sites = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{module}.{node.name}"
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]  # -_SAFE_ENTRY too
+            if any(isinstance(x, ast.Name) and x.id == name for y in operands for x in ast.walk(y)):
+                sites.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, module)
+    return sites
+
+
+def test_the_entry_bound_is_compared_in_two_functions():
+    # The matrix overflow guard and the schedule number rule; every other
+    # check of a schedule's numbers calls the rule.
+    sites = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites |= _functions_comparing(tree, path.stem, "_SAFE_ENTRY")
+    assert sites == {"linalg._validated", "schedule._check"}

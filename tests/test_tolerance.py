@@ -50,7 +50,8 @@ def test_door_admits_every_gate_to_kak(scale_1000):
 
 
 @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0,
-                                    True, None, "2"])
+                                    True, None, "2", pytest.param(10**400, id="ten-to-400"),
+                                    pytest.param(-10**400, id="minus-ten-to-400")])
 def test_set_tol_scale_rejects(factor):
     with pytest.raises(ValueError):
         with tol_scale(factor):
