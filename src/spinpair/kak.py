@@ -99,19 +99,20 @@ def factor_local(k) -> tuple[LocalGate, float]:
     Returns ``(LocalGate(a=A, b=B), phi)``.
 
     Raises:
+        NonUnitary: if ||k†k - I||_max exceeds 1e-8.
         NotLocal: if the second singular value of the reshuffle exceeds
             1e-8 (the gate is entangling).
     """
-    a, b, phase = _factor_locals(k)
-    return LocalGate(a=a, b=b), float(phase)
+    k = unitary4(k, tol=1e-8)
+    a, b, phase = _factor_locals(k.reshape(-1, 4, 4))
+    shape = k.shape[:-2] + (2, 2)  # a stack's factors fail LocalGate's 2x2 check
+    return LocalGate(a=a.reshape(shape), b=b.reshape(shape)), float(phase[0])
 
 
 def _factor_locals(k):
-    """``factor_local`` over a stack (..., 4, 4): one unitarity check and one
-    SVD for all matrices.  Returns the stacks a, b (..., 2, 2) and phase (...)."""
-    k = unitary4(k, tol=1e-8)
-    lead = k.shape[:-2]
-    k = k.reshape(-1, 4, 4)
+    """``factor_local``'s split of a complex stack (n, 4, 4), one SVD, no unitarity check:
+    ``LocalGate``'s and the reconstruction check guard ``kak_decompose``'s products.
+    Returns a, b (n, 2, 2) and phase (n,)."""
     n = len(k)
     m = k.reshape(n, 2, 2, 2, 2).swapaxes(2, 3).reshape(n, 4, 4)
     u, s, vh = np.linalg.svd(m)
@@ -139,7 +140,7 @@ def _factor_locals(k):
     rows = np.arange(n)
     ref = np.abs(product).argmax(axis=1)
     phase = np.angle(k.reshape(n, 16)[rows, ref] / product[rows, ref])
-    return a.reshape(lead + (2, 2)), b.reshape(lead + (2, 2)), phase.reshape(lead)
+    return a, b, phase
 
 
 # W of the fallback combination Re m + W Im m: fixed and irrational (Euler's gamma).

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,16 @@ class TestAbcConversion:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             ABCTriple(a=2.0, b=0.0, c=0.0)
+
+    @pytest.mark.parametrize(
+        "abc", [(2.0, 0.0, 0.0), (0.0, -0.3, 0.0), (0.0, 0.0, 3.1), (1.0, 0.25, 0.0)],
+        ids=["a", "b", "c", "radius"],
+    )
+    def test_range_message(self, abc):
+        a, b, c = abc
+        message = f"invariant triple out of range: ABCTriple(a={a!r}, b={b!r}, c={c!r})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ABCTriple(a, b, c)
 
     def test_range_validation_rejects_nan(self):
         with pytest.raises(ValueError):

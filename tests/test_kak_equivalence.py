@@ -315,3 +315,22 @@ def test_controlled_u_spec_matches_reference():
         want, _ = _reference_segments(controlled_u(*gamma), 2.0, 1e3)
         got = [(s.duration, *s.amplitudes.as_tuple()) for s in schedule.segments]
         assert np.abs(np.subtract(got, [(w.duration, *w.amplitudes.as_tuple()) for w in want])).max() <= AGREE
+
+
+# Worst cases over GATE_SETS (py3.11, numpy 2.4.6): 1.6e-15 for the factor
+# products and 3.5e-14 for the reconstruction, in every set.
+FACTOR_UNITARITY = 1e-14
+RECONSTRUCTION = 3e-13
+
+
+@pytest.mark.parametrize("gates", list(GATE_SETS), ids=list(GATE_SETS))
+def test_factors_unitary_to_roundoff(gates):
+    # The KAK does not check the products it builds before splitting them;
+    # LocalGate's 1e-9 and the 1e-7 reconstruction checks guard them at
+    # run time, and this pins how far inside those bounds they stay.
+    for u in GATE_SETS[gates]():
+        d = kak_decompose(u)
+        for k in (d.k1, d.k2):
+            product = np.kron(k.a, k.b)
+            assert max_norm(product.conj().T @ product - np.eye(4)) <= FACTOR_UNITARITY
+        assert max_norm(reconstruct(d) - u) <= RECONSTRUCTION

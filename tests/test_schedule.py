@@ -633,10 +633,10 @@ class TestScheduleNumbers:
             (GateSpec.cnot(), 1e-160, 1e-159, 1e159),  # the first pulse, 1/N
             (GateSpec.cnot(), 1e-160, 1.0, 5e159),  # the drift window, 1/(2J)
             (GateSpec.cnot(), 5e-324, 1.0, float("inf")),
-            # The c3 window's drift, 0.045 / (pi J), and its sandwich pulses, 1/N,
-            # are both too long: the drift is named first.
+            # The c3 window's drift, 0.045 / (pi J), and its sandwich pi pulses,
+            # pi / (pi N), are both too long: the leading pulse comes first in time.
             (GateSpec.custom(bench_module("gen").haar_batch(3, 9)[8]), 1e-152, 9e-151,
-             0.045056211432582316 / (np.pi * 1e-152)),
+             np.pi / (np.pi * 9e-151)),
         ],
         ids=["pulse", "drift", "infinite-drift", "window-drift"],
     )
@@ -724,6 +724,15 @@ class TestScheduleTable:
         with pytest.raises(TypeError, match="table"):
             Schedule((), 1.0, 1000.0, GateSpec.cnot(), table=np.zeros((0, 5)))
 
+    def test_no_other_attribute(self, tmp_path):
+        # ``segments`` is the only name a schedule builds on first read.
+        synthesized = synthesize(GateSpec.controlled_u(0.3, -1.1, 0.7), 1.0, 1e3)
+        save_schedule(synthesized, tmp_path / "s.sched")
+        for schedule in (synthesized, load_schedule(tmp_path / "s.sched")):
+            with pytest.raises(AttributeError, match="^'Schedule' object has no attribute 'nope'$"):
+                schedule.nope
+            assert hasattr(schedule, "nope") is False
+
 
 def _synthesis_specs():
     specs = [GateSpec.cnot(), GateSpec.swap(), GateSpec.sqrt_swap(), GateSpec.controlled_u(0.3, -1.1, 0.7)]
@@ -753,6 +762,19 @@ class TestCouplingTypes:
     def test_huge_numpy_coupling_is_below_the_threshold(self):
         with pytest.raises(HardPulseRegimeViolated, match=r"10\*J = inf$"):
             synthesize(GateSpec.cnot(), np.float64(1e308), 1e4)
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning from a float32 cast of 10 * J
+    @pytest.mark.parametrize(
+        "j, n, message",
+        [
+            (1.00000001, np.float32(10.0), "N = 10.0 below hard-pulse threshold 10*J = 10.0000001"),
+            (1e149, np.float32(1e4), "N = 10000.0 below hard-pulse threshold 10*J = 1e+150"),
+        ],
+        ids=["at-the-threshold", "huge-coupling"],
+    )
+    def test_float32_pulse_strength_is_compared_as_a_float(self, j, n, message):
+        with pytest.raises(HardPulseRegimeViolated, match=f"^pulse strength {re.escape(message)}$"):
+            synthesize(GateSpec.cnot(), j, n)
 
 
 class TestSegmentsOnFirstRead:

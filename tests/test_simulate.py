@@ -19,6 +19,7 @@ from spinpair.schedule import (
 from spinpair.simulate import (
     CONTROL_TERMS,
     DRIFT_TERM,
+    SimulationReport,
     _propagate,
     batch_verify,
     evolve,
@@ -181,6 +182,16 @@ class TestFidelity:
         for _ in range(20):
             f = fidelity(haar_unitary(rng), haar_unitary(rng))
             assert 0 <= f <= 1 + 1e-12
+
+
+class TestSimulationReport:
+    @pytest.mark.parametrize("f", [-0.5, 1.5, float("nan")], ids=repr)
+    def test_fidelity_outside_the_unit_interval(self, f):
+        with pytest.raises(ValueError, match=f"^fidelity {f} outside \\[0, 1\\]$"):
+            SimulationReport(IDENTITY4, f, 0.0, 0.0, 0.0)
+
+    def test_roundoff_above_one_is_admitted(self):
+        assert SimulationReport(IDENTITY4, 1.0 + 1e-13, 0.0, 0.0, 0.0).fidelity == 1.0 + 1e-13
 
 
 class TestVerify:

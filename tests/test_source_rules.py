@@ -87,3 +87,39 @@ def test_the_entry_bound_is_compared_in_two_functions():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         sites |= _functions_comparing(tree, path.stem, "_SAFE_ENTRY")
     assert sites == {"linalg._validated", "schedule._check"}
+
+
+def _functions_calling(tree, module, names):
+    """``module.[Class.]function`` of every call of a name in ``names`` in ``tree``."""
+    sites = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in names:
+            sites.add(owner)  # a bare name or an attribute such as ``linalg.unitary4``
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, module)
+    return sites
+
+
+def test_matrices_are_checked_at_the_doors():
+    # A matrix is checked for unitarity where it enters or leaves a layer: the
+    # invariants' (and so the KAK's) input, a custom gate, a split requested
+    # from outside, the propagators a simulation returns and a batch's
+    # targets.  Products the KAK builds itself are guarded by the SU(2) and
+    # reconstruction checks that follow them, not re-checked.
+    sites = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites |= _functions_calling(tree, path.stem, {"unitary4", "_unitary_defect"})
+    assert sites == {
+        "invariants._magic_system",
+        "kak.factor_local",
+        "schedule.GateSpec.__post_init__",
+        "simulate._propagate",
+        "simulate.batch_verify",
+        "linalg.unitary4",
+    }
